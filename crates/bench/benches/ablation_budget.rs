@@ -11,9 +11,9 @@
 
 use bench::{banner, Table};
 use localut::capacity::max_p_localut;
-use localut::kernels::{LcKernel, NaiveKernel, RcKernel};
+use localut::kernels::KernelSpec;
 use localut::tiling::DistributedGemm;
-use localut::{GemmDims, Method};
+use localut::{GemmConfig, GemmDims, Method};
 use pim_sim::DpuConfig;
 use quant::BitConfig;
 
@@ -56,25 +56,23 @@ fn main() {
         "Ablation B",
         "Reordering LUT vs software reordering per packing degree (W1A3)",
     );
-    let dpu = DpuConfig::upmem();
+    let gemm = GemmConfig::upmem();
     let tile = GemmDims {
         m: 192,
         k: 768,
         n: 1,
     };
-    let naive = NaiveKernel::new(dpu.clone(), wf, af)
-        .cost(tile)
-        .total_seconds();
+    let seconds = |method, p| {
+        KernelSpec::with_p(&gemm, method, wf, af, p)
+            .expect("valid p")
+            .cost(tile)
+            .total_seconds()
+    };
+    let naive = seconds(Method::NaivePim, 1);
     let mut table = Table::new(&["p", "OP+LC (sw reorder)", "OP+LC+RC", "RC gain"]);
     for p in 1..=5u32 {
-        let lc = LcKernel::with_p(dpu.clone(), wf, af, p)
-            .expect("valid p")
-            .cost(tile)
-            .total_seconds();
-        let rc = RcKernel::with_p(dpu.clone(), wf, af, p)
-            .expect("valid p")
-            .cost(tile)
-            .total_seconds();
+        let lc = seconds(Method::OpLc, p);
+        let rc = seconds(Method::OpLcRc, p);
         table.row(vec![
             p.to_string(),
             format!("{:.2}x", naive / lc),

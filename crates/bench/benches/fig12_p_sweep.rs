@@ -7,9 +7,10 @@
 
 use bench::{banner, Table};
 use localut::capacity::{localut_bytes, max_p_localut};
-use localut::kernels::{NaiveKernel, RcKernel, StreamingKernel};
+use localut::kernels::KernelSpec;
+use localut::plan::Placement;
 use localut::tiling::TileGrid;
-use localut::GemmDims;
+use localut::{GemmConfig, GemmDims, Method};
 use pim_sim::DpuConfig;
 use quant::{BitConfig, NumericFormat};
 
@@ -27,33 +28,32 @@ fn main() {
         let dims = GemmDims { m, k: 768, n: 128 };
         let grid = TileGrid::choose(dims, 2048);
         let tile = grid.tile_dims(dims);
-        let naive = NaiveKernel::new(dpu.clone(), wf, af)
+        let naive = KernelSpec::with_p(&GemmConfig::upmem(), Method::NaivePim, wf, af, 1)
+            .expect("integer formats")
             .cost(tile)
             .total_seconds();
         println!("\n  M = {m} (per-DPU tile {tile})");
         let mut table = Table::new(&["p", "placement", "speedup", "capacity (B)"]);
         for p in 1..=6u32 {
-            let (placement, seconds) = if p <= p_local {
-                let k = RcKernel::with_p(dpu.clone(), wf, af, p).expect("valid p");
-                ("buffer", k.cost(tile).total_seconds())
+            let (label, placement) = if p <= p_local {
+                ("buffer", Placement::BufferResident)
             } else {
-                match StreamingKernel::new(dpu.clone(), wf, af, p, 2) {
-                    Ok(k) => ("stream", k.cost(tile).total_seconds()),
-                    Err(_) => {
-                        table.row(vec![
-                            p.to_string(),
-                            "infeasible".into(),
-                            "-".into(),
-                            "-".into(),
-                        ]);
-                        continue;
-                    }
-                }
+                ("stream", Placement::Streaming)
             };
+            let Ok(kernel) = KernelSpec::placed(&dpu, wf, af, p, placement, 2) else {
+                table.row(vec![
+                    p.to_string(),
+                    "infeasible".into(),
+                    "-".into(),
+                    "-".into(),
+                ]);
+                continue;
+            };
+            let seconds = kernel.cost(tile).total_seconds();
             let capacity = localut_bytes(wf, af, p).expect("within range");
             table.row(vec![
                 p.to_string(),
-                placement.into(),
+                label.into(),
                 format!("{:.2}", naive / seconds),
                 capacity.to_string(),
             ]);

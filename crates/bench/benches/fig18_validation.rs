@@ -10,8 +10,9 @@
 
 use bench::{banner, Table};
 use localut::capacity::max_p_localut;
-use localut::kernels::{RcKernel, StreamingKernel};
+use localut::kernels::KernelSpec;
 use localut::model::PerfModel;
+use localut::plan::Placement;
 use localut::tiling::TileGrid;
 use localut::GemmDims;
 use pim_sim::{Category, DpuConfig};
@@ -62,26 +63,22 @@ fn main() {
                         2f64.powi(i32::from(cfg.bw) * p as i32) * groups * model.l_d,
                     )
                 };
-                let sim_time = if p <= p_local {
-                    RcKernel::with_p(dpu.clone(), wf, af, p)
-                        .expect("valid")
-                        .cost(tile)
-                        .total_seconds()
+                let placement = if p <= p_local {
+                    Placement::BufferResident
                 } else {
-                    match StreamingKernel::new(dpu.clone(), wf, af, p, 2) {
-                        Ok(k) => k.cost(tile).total_seconds(),
-                        Err(_) => {
-                            table.row(vec![
-                                p.to_string(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "infeasible".into(),
-                            ]);
-                            continue;
-                        }
-                    }
+                    Placement::Streaming
                 };
+                let Ok(kernel) = KernelSpec::placed(&dpu, wf, af, p, placement, 2) else {
+                    table.row(vec![
+                        p.to_string(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                        "infeasible".into(),
+                    ]);
+                    continue;
+                };
+                let sim_time = kernel.cost(tile).total_seconds();
                 let total = access + load;
                 if total < best_model.0 {
                     best_model = (total, p);

@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use localut::canonical::CanonicalLut;
-use localut::kernels::StreamingKernel;
+use localut::kernels::KernelSpec;
 use localut::multiset;
 use localut::packed::OpPackedLut;
 use localut::reorder::ReorderLut;
-use pim_sim::DpuConfig;
+use localut::{GemmConfig, Method};
 use quant::{NumericFormat, Quantizer};
 use std::hint::black_box;
 use std::time::Duration;
@@ -64,11 +64,11 @@ fn bench_streaming_kernel(c: &mut Criterion) {
     let adata: Vec<f32> = (0..60 * 16).map(|i| ((i % 9) as f32) - 4.0).collect();
     let w = wq.quantize_matrix(&wdata, 64, 60).unwrap();
     let a = aq.quantize_matrix(&adata, 60, 16).unwrap();
-    let kernel = StreamingKernel::new(DpuConfig::upmem(), W1, A3, 6, 2).unwrap();
+    let kernel = KernelSpec::with_p(&GemmConfig::upmem(), Method::LoCaLut, W1, A3, 6).unwrap();
     c.bench_function("streaming-kernel-64x60x16", |b| {
         b.iter_batched(
             || (w.clone(), a.clone()),
-            |(w, a)| kernel.run(&w, &a).unwrap(),
+            |(w, a)| kernel.run(&w, &a, None, None).unwrap(),
             BatchSize::SmallInput,
         )
     });

@@ -86,8 +86,8 @@ pub use traffic::{Mix, TrafficConfig, TrafficRequest};
 use cache::LutCache;
 use cachelife::memo::{PlanKey, PlanMemo};
 use dnn::InferenceSim;
-use localut::kernels::{BankKernel, RcKernel, StreamingKernel};
-use localut::plan::{ExecutionPlan, Placement, Planner};
+use localut::kernels::{BankKernel, KernelSpec};
+use localut::plan::{ExecutionPlan, Planner};
 use localut::{GemmConfig, GemmDims, LocaLutError, Method};
 use pim_sim::{DpuConfig, EnergyModel, Profile, Stats, SystemProfile};
 use quant::{BitConfig, NumericFormat};
@@ -662,16 +662,9 @@ impl Engine {
         bits: BitConfig,
         dims: GemmDims,
     ) -> Result<Profile, EngineError> {
-        let (wf, af) = (bits.weight_format(), bits.activation_format());
-        Ok(match pin.placement {
-            Placement::BufferResident => {
-                RcKernel::with_p(self.gemm.dpu.clone(), wf, af, pin.p)?.cost(dims)
-            }
-            Placement::Streaming => {
-                StreamingKernel::new(self.gemm.dpu.clone(), wf, af, pin.p, self.gemm.k_slices)?
-                    .cost(dims)
-            }
-        })
+        Ok(self
+            .pinned_spec(pin, bits.weight_format(), bits.activation_format())?
+            .cost(dims))
     }
 
     /// One-time initialization cost of `method` at `bits` (§V-A LUT build
@@ -723,10 +716,7 @@ impl Engine {
                 }
             }
             let (bank, outcome) = self.pinned_kernel(pin, wf, af)?;
-            let method = match pin.placement {
-                Placement::BufferResident => Method::OpLcRc,
-                Placement::Streaming => Method::LoCaLut,
-            };
+            let method = bank.method();
             (bank, method, Some(outcome))
         } else {
             let method = request.method.unwrap_or(self.method);
@@ -798,6 +788,24 @@ impl Engine {
         Ok((bank, recorded))
     }
 
+    /// The kernel a pin describes, at the engine's slice count.
+    fn pinned_spec(
+        &self,
+        pin: PlanPin,
+        wf: NumericFormat,
+        af: NumericFormat,
+    ) -> Result<KernelSpec, EngineError> {
+        let GemmConfig { dpu, k_slices } = &self.gemm;
+        Ok(KernelSpec::placed(
+            dpu,
+            wf,
+            af,
+            pin.p,
+            pin.placement,
+            *k_slices,
+        )?)
+    }
+
     fn pinned_kernel(
         &self,
         pin: PlanPin,
@@ -810,17 +818,8 @@ impl Engine {
             p: pin.p,
             placement: pin.placement,
         })?;
-        let bank = match pin.placement {
-            Placement::BufferResident => BankKernel::with_shared_luts(
-                RcKernel::with_p(self.gemm.dpu.clone(), wf, af, pin.p)?,
-                luts,
-            ),
-            Placement::Streaming => BankKernel::with_shared_luts(
-                StreamingKernel::new(self.gemm.dpu.clone(), wf, af, pin.p, self.gemm.k_slices)?,
-                luts,
-            ),
-        };
-        Ok((bank, outcome))
+        let spec = self.pinned_spec(pin, wf, af)?;
+        Ok((BankKernel::with_shared_luts(spec, luts), outcome))
     }
 }
 

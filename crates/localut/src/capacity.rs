@@ -135,7 +135,9 @@ pub fn max_p_op(wf: NumericFormat, af: NumericFormat, budget: u64) -> u32 {
     max_p_by(|p| op_lut_bytes(wf, af, p), budget)
 }
 
-fn max_p_by(bytes_of: impl Fn(u32) -> Option<u128>, budget: u64) -> u32 {
+/// Largest `p ≥ 1` whose footprint `bytes_of(p)` fits `budget` bytes (0
+/// when even `p = 1` does not fit).
+pub(crate) fn max_p_by(bytes_of: impl Fn(u32) -> Option<u128>, budget: u64) -> u32 {
     let mut best = 0;
     for p in 1..=24 {
         match bytes_of(p) {

@@ -178,7 +178,13 @@ impl PackedCodes {
     ///
     /// Panics when `group` or `lane` is out of range.
     pub fn unpack_into(&self, group: usize, lane: usize, out: &mut Vec<u16>) {
-        let word = self.word(group, lane);
+        self.unpack_word(self.word(group, lane), out);
+    }
+
+    /// Unpacks a word of this table's `(bits, p)` shape into `out` (cleared
+    /// first, capacity reused) — for callers that already hold the word,
+    /// e.g. from a [`PackedCodes::group`] scan.
+    pub fn unpack_word(&self, word: u64, out: &mut Vec<u16>) {
         let mask = (1u64 << self.bits) - 1;
         out.clear();
         out.extend((0..self.p).map(|i| ((word >> (usize::from(self.bits) * i)) & mask) as u16));
@@ -229,9 +235,9 @@ impl GroupScratch {
 /// Row-sharded banks of one GEMM all consume the same activation columns,
 /// so the per-group unpack → sort → Lehmer-rank → multiset-rank work is
 /// identical in every bank. The runtime executor resolves one panel per
-/// activation column band and hands it to every bank in the band (via the
-/// kernel trait's `resolve_panel` / `run_with_panel` hooks); the gathers a
-/// bank then performs are bitwise identical to resolving locally.
+/// activation column band and hands it to every bank in the band (via
+/// `BankKernel::resolve_panel` / `run_panel`); the gathers a bank then
+/// performs are bitwise identical to resolving locally.
 #[derive(Debug, Clone)]
 pub struct ActivationPanel {
     packed: PackedCodes,

@@ -1,7 +1,7 @@
 //! GEMM dimensions, the reference implementation, the method taxonomy of
 //! the evaluation (§VI-A), and the top-level dispatcher.
 
-use crate::kernels::{BankKernel, LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel};
+use crate::kernels::{BankKernel, KernelSpec};
 use crate::plan::Planner;
 use crate::value::LutValue;
 use crate::LocaLutError;
@@ -204,8 +204,8 @@ impl GemmConfig {
     /// outputs and the simulated profile.
     ///
     /// Construction and dispatch both go through [`BankKernel`]: the
-    /// method-to-kernel match lives in [`BankKernel::build`] and the
-    /// execution is one [`crate::kernels::LutKernel`] trait call.
+    /// method-to-kernel match lives behind [`BankKernel::build`] and the
+    /// execution is one [`KernelSpec::run`] call.
     ///
     /// # Errors
     ///
@@ -225,7 +225,8 @@ impl GemmConfig {
     ///
     /// # Errors
     ///
-    /// Budget errors when no feasible LUT configuration exists.
+    /// Format errors, or budget errors when no feasible LUT configuration
+    /// exists — exactly the errors constructing the kernel would report.
     pub fn cost(
         &self,
         method: Method,
@@ -233,18 +234,10 @@ impl GemmConfig {
         wf: NumericFormat,
         af: NumericFormat,
     ) -> Result<Profile, LocaLutError> {
-        match method {
-            Method::NaivePim => Ok(NaiveKernel::new(self.dpu.clone(), wf, af).cost(dims)),
-            Method::Ltc => Ok(LtcKernel::new(self.dpu.clone(), wf, af).cost(dims)),
-            Method::Op => Ok(OpKernel::auto(self.dpu.clone(), wf, af)?.cost(dims)),
-            Method::OpLc => Ok(LcKernel::auto(self.dpu.clone(), wf, af)?.cost(dims)),
-            Method::OpLcRc => Ok(RcKernel::auto(self.dpu.clone(), wf, af)?.cost(dims)),
-            Method::LoCaLut => {
-                let planner = Planner::new(self.dpu.clone());
-                let plan = planner.plan(dims, wf, af, Some(self.k_slices))?;
-                Ok(plan.cost(&self.dpu, dims))
-            }
-        }
+        let spec = KernelSpec::auto(self, method, wf, af, || {
+            Planner::new(self.dpu.clone()).plan(dims, wf, af, Some(self.k_slices))
+        })?;
+        Ok(spec.cost(dims))
     }
 
     /// Like [`GemmConfig::cost`], but LoCaLUT plans by **measured** kernel
@@ -263,14 +256,10 @@ impl GemmConfig {
         wf: NumericFormat,
         af: NumericFormat,
     ) -> Result<Profile, LocaLutError> {
-        match method {
-            Method::LoCaLut => {
-                let planner = Planner::new(self.dpu.clone());
-                let plan = planner.plan_measured(dims, wf, af)?;
-                Ok(plan.cost(&self.dpu, dims))
-            }
-            other => self.cost(other, dims, wf, af),
-        }
+        let spec = KernelSpec::auto(self, method, wf, af, || {
+            Planner::new(self.dpu.clone()).plan_measured(dims, wf, af)
+        })?;
+        Ok(spec.cost(dims))
     }
 }
 

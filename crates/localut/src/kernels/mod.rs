@@ -1,4 +1,4 @@
-//! The six GEMM kernels of the paper's evaluation (§VI-A).
+//! The six GEMM kernels of the paper's evaluation (§VI-A), as one value.
 //!
 //! Every kernel is **functional + timed**: `run` computes the exact output
 //! through the kernel's actual data structures (LUTs, bit-serial tables, or
@@ -8,46 +8,42 @@
 //! dimensions (the dataflows are data-independent) — and tests assert
 //! `run(...).profile == cost(dims)`.
 //!
-//! | Kernel | Design point | Paper |
-//! |---|---|---|
-//! | [`NaiveKernel`]     | int MACs on the DPU            | "Naive PIM" |
-//! | [`LtcKernel`]       | bit-serial runtime LUTs        | "LTC (PIM)" |
-//! | [`OpKernel`]        | buffer-resident packed LUT     | "OP" (§III) |
-//! | [`LcKernel`]        | + canonicalization, sw reorder | "OP+LC" (§IV-A) |
-//! | [`RcKernel`]        | + reordering LUT               | "OP+LC+RC" (§IV-B) |
-//! | [`StreamingKernel`] | + LUT slice streaming          | "LoCaLUT" (§IV-C) |
+//! | [`Method`] | Design point | LUT | Gather |
+//! |---|---|---|---|
+//! | `NaivePim` | int MACs on the DPU ("Naive PIM")        | none                | `reference_gemm` |
+//! | `Ltc`      | bit-serial runtime LUTs ("LTC (PIM)")    | per group, runtime  | bit planes |
+//! | `Op`       | buffer-resident packed LUT ("OP", §III)  | packed, WRAM        | `col[row]` |
+//! | `OpLc`     | + canonicalization ("OP+LC", §IV-A)      | canonical, WRAM     | software reorder |
+//! | `OpLcRc`   | + reordering LUT ("OP+LC+RC", §IV-B)     | canon + reord, WRAM | `canon[reord[row]]` |
+//! | `LoCaLut`  | + LUT slice streaming ("LoCaLUT", §IV-C) | canon + reord, bank | same, `k`-wide tiles |
 //!
-//! All six arms implement one object-safe [`LutKernel`] trait — the single
-//! dispatch surface every layer above uses. [`BankKernel`] is the
-//! method-erased construct-once handle (an `Arc<dyn LutKernel>` plus the
-//! optional [`SharedLuts`] images) that bank-parallel workers clone;
-//! [`par_run`] is the multi-threaded entry point (sharded across host
-//! threads; see the `runtime` crate for the full executor with per-bank
-//! profiles). Method-to-kernel construction lives in one place
-//! ([`BankKernel::build`] and friends, in the `build` submodule) — there is
-//! deliberately no per-method `match` anywhere else in this module.
+//! The arms are not six types. A [`KernelSpec`] is plain data — DPU,
+//! formats, arm, packing degree, tile width — with one constructor per
+//! way of choosing it ([`KernelSpec::with_p`], [`KernelSpec::placed`],
+//! [`KernelSpec::auto`]; nothing else in the workspace turns a `Method` or
+//! a `Placement` into a kernel), one [`KernelSpec::cost`], and one
+//! [`KernelSpec::run`] taking optional shared LUT images and an optional
+//! activation panel. The LUT arms all execute the one blocked driver of
+//! the private `gather` module, monomorphised over four small gathers.
+//! [`BankKernel`] is the construct-once handle (a spec plus its optional
+//! [`SharedLuts`]) that bank-parallel workers share; [`par_run`] is the
+//! multi-threaded entry point (see the `runtime` crate for the full
+//! executor with per-bank profiles).
 
-mod build;
-mod lc;
-mod ltc;
-mod naive;
-mod op;
-mod rc;
-mod streaming;
+mod gather;
+mod spec;
+#[cfg(test)]
+mod tests;
 
-pub use lc::LcKernel;
-pub use ltc::LtcKernel;
-pub use naive::NaiveKernel;
-pub use op::OpKernel;
-pub use rc::RcKernel;
-pub use streaming::StreamingKernel;
+pub use spec::KernelSpec;
 
 use crate::canonical::CanonicalLut;
 use crate::codes::ActivationPanel;
 use crate::gemm::{GemmConfig, GemmDims, GemmResult, Method};
+use crate::plan::{ExecutionPlan, Placement, Planner};
 use crate::reorder::ReorderLut;
 use crate::LocaLutError;
-use pim_sim::{Category, Dpu, Profile};
+use pim_sim::Profile;
 use quant::{NumericFormat, QMatrix};
 use std::sync::Arc;
 
@@ -73,159 +69,14 @@ pub(crate) fn require_integer(wf: NumericFormat, af: NumericFormat) -> Result<()
 }
 
 /// The activation code that decodes to integer zero, used to pad `K` up to
-/// a multiple of `p` (`None` for formats without a zero, e.g. bipolar).
-pub(crate) fn zero_code(af: NumericFormat) -> Option<u16> {
-    af.encode_int(0).ok().map(|c| c as u16)
-}
-
-/// Resolves the zero pad code or errors when `K % p != 0` and none exists.
+/// a multiple of `p` — an error when `K % p != 0` and the format has no
+/// zero (e.g. bipolar).
 pub(crate) fn pad_code_for(af: NumericFormat, k: usize, p: usize) -> Result<u16, LocaLutError> {
     let remainder = k % p;
-    match zero_code(af) {
-        Some(c) => Ok(c),
-        None if remainder == 0 => Ok(0), // never used
-        None => Err(LocaLutError::UnpaddableRemainder { remainder }),
-    }
-}
-
-/// Charges the common operand input streams (weights + activations,
-/// bank → WRAM) to [`Category::DataTransfer`].
-pub(crate) fn charge_operand_input(dpu: &mut Dpu, dims: GemmDims, bw: u8, ba: u8) {
-    dpu.charge_dram_stream(
-        dims.weight_bytes(bw) + dims.activation_bytes(ba),
-        Category::DataTransfer,
-    );
-}
-
-/// Charges the output writeback (WRAM → bank).
-pub(crate) fn charge_output(dpu: &mut Dpu, dims: GemmDims) {
-    dpu.charge_dram_writeback(dims.output_bytes(), Category::OutputWriteback);
-}
-
-/// Validates that an [`ActivationPanel`]'s packed shape matches the
-/// operands a `run_with_panel` call is about to consume it with.
-pub(crate) fn check_panel(
-    panel: &ActivationPanel,
-    abits: u8,
-    p: usize,
-    kblocks: usize,
-    n: usize,
-) -> Result<(), LocaLutError> {
-    let packed = panel.packed();
-    if packed.bits() != abits
-        || packed.p() != p
-        || packed.groups() != kblocks
-        || packed.lanes() != n
-    {
-        return Err(LocaLutError::UnsupportedFormat(
-            "activation panel shape does not match the operands",
-        ));
-    }
-    Ok(())
-}
-
-/// The unified kernel interface every arm of the evaluation implements.
-///
-/// One GEMM kernel is four capabilities: identify itself
-/// ([`method`](LutKernel::method), [`p`](LutKernel::p)), price a shape
-/// ([`cost`](LutKernel::cost)), vet operands
-/// ([`validate`](LutKernel::validate)), and execute
-/// ([`run`](LutKernel::run) /
-/// [`run_with_luts`](LutKernel::run_with_luts)). The trait is object-safe:
-/// [`BankKernel`], `kernels::par_run`, the `runtime` executor, and the
-/// engine all dispatch through `dyn LutKernel`, so a new design point
-/// plugs in by implementing this trait — no dispatch site changes.
-///
-/// The functional/timed contract holds for every implementor:
-/// `run(w, a)?.profile == cost(GemmDims::of(w, a)?)` exactly, and
-/// `run_with_luts` is bit-identical to `run` in both values and profile.
-pub trait LutKernel: std::fmt::Debug + Send + Sync {
-    /// The evaluation method this kernel realizes.
-    fn method(&self) -> Method;
-
-    /// The packing degree (`1` for the LUT-free baselines, which consume
-    /// operands one code at a time).
-    fn p(&self) -> u32;
-
-    /// Analytic cost for the given dimensions — the profile
-    /// [`LutKernel::run`] charges for operands of the same shape.
-    fn cost(&self, dims: GemmDims) -> Profile;
-
-    /// Cheap operand checks (shape, formats, padding feasibility) shared
-    /// by `run` and `run_with_luts`, returning the dimensions on success.
-    ///
-    /// # Errors
-    ///
-    /// Shape, format, or padding errors.
-    fn validate(&self, w: &QMatrix, a: &QMatrix) -> Result<GemmDims, LocaLutError>;
-
-    /// Runs the GEMM, building any LUT images locally.
-    ///
-    /// # Errors
-    ///
-    /// Shape, format, padding, or budget errors.
-    fn run(&self, w: &QMatrix, a: &QMatrix) -> Result<GemmResult, LocaLutError>;
-
-    /// Runs the GEMM against prebuilt shared LUT images. Arms without
-    /// shared images (the baselines and the locally-built LUT arms)
-    /// ignore `luts` and run as [`LutKernel::run`].
-    ///
-    /// # Errors
-    ///
-    /// Shape, format, or padding errors, or
-    /// [`LocaLutError::UnsupportedFormat`] when `luts` was built for a
-    /// different `(wf, af, p)` than the kernel needs.
-    fn run_with_luts(
-        &self,
-        w: &QMatrix,
-        a: &QMatrix,
-        luts: &SharedLuts,
-    ) -> Result<GemmResult, LocaLutError> {
-        let _ = luts;
-        self.run(w, a)
-    }
-
-    /// Resolves the shard-invariant activation panel this kernel can share
-    /// across row-sharded banks, or `None` for arms without one (the
-    /// LUT-free baselines and the software-reorder arms). Panels decouple
-    /// the activation-side group resolution from the per-bank M-pass: a
-    /// bank-parallel executor resolves each activation column band once
-    /// and passes the panel to [`LutKernel::run_with_panel`] on every bank
-    /// in the band.
-    ///
-    /// # Errors
-    ///
-    /// Shape, format, or padding errors.
-    fn resolve_panel(
-        &self,
-        a: &QMatrix,
-        luts: &SharedLuts,
-    ) -> Result<Option<ActivationPanel>, LocaLutError> {
-        let _ = (a, luts);
-        Ok(None)
-    }
-
-    /// Runs against an activation panel previously resolved **from the
-    /// same activation operand** by [`LutKernel::resolve_panel`] — the
-    /// panel is trusted as `a`'s resolution (shapes are validated; values
-    /// are the caller's contract). Bitwise identical to
-    /// [`LutKernel::run_with_luts`] in values and profile. The default
-    /// ignores the panel and runs `run_with_luts`.
-    ///
-    /// # Errors
-    ///
-    /// As [`LutKernel::run_with_luts`], plus
-    /// [`LocaLutError::UnsupportedFormat`] when the panel's shape does not
-    /// match the operands.
-    fn run_with_panel(
-        &self,
-        w: &QMatrix,
-        a: &QMatrix,
-        luts: &SharedLuts,
-        panel: &ActivationPanel,
-    ) -> Result<GemmResult, LocaLutError> {
-        let _ = panel;
-        self.run_with_luts(w, a, luts)
+    match af.encode_int(0) {
+        Ok(zero) => Ok(zero as u16),
+        Err(_) if remainder == 0 => Ok(0), // never used
+        Err(_) => Err(LocaLutError::UnpaddableRemainder { remainder }),
     }
 }
 
@@ -254,9 +105,6 @@ pub trait LutKernel: std::fmt::Debug + Send + Sync {
 pub struct SharedLuts {
     canonical: Arc<CanonicalLut<i32>>,
     reorder: Arc<ReorderLut>,
-    wf: NumericFormat,
-    af: NumericFormat,
-    p: u32,
 }
 
 impl SharedLuts {
@@ -269,13 +117,7 @@ impl SharedLuts {
     pub fn build(wf: NumericFormat, af: NumericFormat, p: u32) -> Result<Self, LocaLutError> {
         let canonical = CanonicalLut::<i32>::build(wf, af, p, MAX_MATERIALIZED_ENTRIES)?;
         let reorder = ReorderLut::build(wf.bits(), p, MAX_MATERIALIZED_ENTRIES)?;
-        Ok(SharedLuts {
-            canonical: Arc::new(canonical),
-            reorder: Arc::new(reorder),
-            wf,
-            af,
-            p,
-        })
+        Self::from_parts(canonical, reorder)
     }
 
     /// Reassembles a shared pair from already-materialized images (a
@@ -296,17 +138,9 @@ impl SharedLuts {
                 "reordering LUT shape does not match the canonical LUT's (wf, p)",
             ));
         }
-        let (wf, af, p) = (
-            canonical.weight_format(),
-            canonical.activation_format(),
-            canonical.p(),
-        );
         Ok(SharedLuts {
             canonical: Arc::new(canonical),
             reorder: Arc::new(reorder),
-            wf,
-            af,
-            p,
         })
     }
 
@@ -335,19 +169,19 @@ impl SharedLuts {
     /// The packing degree the LUTs were built for.
     #[must_use]
     pub fn p(&self) -> u32 {
-        self.p
+        self.canonical.p()
     }
 
     /// The weight format the LUTs were built for.
     #[must_use]
     pub fn weight_format(&self) -> NumericFormat {
-        self.wf
+        self.canonical.weight_format()
     }
 
     /// The activation format the LUTs were built for.
     #[must_use]
     pub fn activation_format(&self) -> NumericFormat {
-        self.af
+        self.canonical.activation_format()
     }
 
     /// Validates that the LUTs match a kernel's `(wf, af, p)` configuration.
@@ -357,7 +191,7 @@ impl SharedLuts {
         af: NumericFormat,
         p: u32,
     ) -> Result<(), LocaLutError> {
-        if self.wf != wf || self.af != af || self.p != p {
+        if (self.weight_format(), self.activation_format(), self.p()) != (wf, af, p) {
             return Err(LocaLutError::UnsupportedFormat(
                 "shared LUTs were built for a different (format, format, p) configuration",
             ));
@@ -366,19 +200,16 @@ impl SharedLuts {
     }
 }
 
-/// A method-erased, construct-once bank kernel.
+/// A construct-once bank kernel: one [`KernelSpec`] next to the shared
+/// LUT images it gathers through.
 ///
 /// `GemmConfig::run` re-plans and rebuilds LUTs on every call; a parallel
 /// runtime instead builds one `BankKernel` for the *full* GEMM dimensions
-/// and hands a clone to every worker, so all banks execute the identical
+/// and shares it with every worker, so all banks execute the identical
 /// plan against one [`SharedLuts`] image (clones only bump `Arc` counts).
-///
-/// The handle is a `dyn` [`LutKernel`] plus the optional shared images the
-/// kernel runs against — [`BankKernel::run`] routes through
-/// [`LutKernel::run_with_luts`] when images are attached and
-/// [`LutKernel::run`] otherwise, and everything else delegates to the
-/// trait. Construction from a [`Method`] lives in [`BankKernel::build`] /
-/// [`BankKernel::build_with`] / [`BankKernel::build_planned`].
+/// Construction from a [`Method`] is [`BankKernel::build`] /
+/// [`BankKernel::build_with`] / [`BankKernel::build_planned`]; everything
+/// else is a thin call into the spec.
 ///
 /// # Examples
 ///
@@ -397,51 +228,122 @@ impl SharedLuts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankKernel {
-    kernel: Arc<dyn LutKernel>,
+    spec: KernelSpec,
     luts: Option<SharedLuts>,
 }
 
 impl BankKernel {
-    /// Wraps a kernel with no shared LUT images attached; it builds
-    /// whatever images it needs locally on each run.
-    pub fn new(kernel: impl LutKernel + 'static) -> Self {
+    /// Pairs a kernel with prebuilt shared LUT images; every run gathers
+    /// through them instead of building its own.
+    #[must_use]
+    pub fn with_shared_luts(spec: KernelSpec, luts: SharedLuts) -> Self {
         BankKernel {
-            kernel: Arc::new(kernel),
-            luts: None,
-        }
-    }
-
-    /// Wraps a kernel together with prebuilt shared LUT images; every run
-    /// routes through [`LutKernel::run_with_luts`] against them.
-    pub fn with_shared_luts(kernel: impl LutKernel + 'static, luts: SharedLuts) -> Self {
-        BankKernel {
-            kernel: Arc::new(kernel),
+            spec,
             luts: Some(luts),
         }
     }
 
-    /// The wrapped kernel, as the trait object every dispatch layer sees.
-    #[must_use]
-    pub fn kernel(&self) -> &dyn LutKernel {
-        self.kernel.as_ref()
+    /// Constructs the kernel `method` would use for a GEMM of `dims`,
+    /// building shared LUT images once where the method uses them.
+    ///
+    /// For [`Method::LoCaLut`] the §V-A planner runs on the **full**
+    /// dimensions, so every bank of a sharded run executes the same
+    /// placement and packing degree the serial path would.
+    ///
+    /// # Errors
+    ///
+    /// Format, budget, or planning errors (see [`LocaLutError`]).
+    pub fn build(
+        cfg: &GemmConfig,
+        method: Method,
+        wf: NumericFormat,
+        af: NumericFormat,
+        dims: GemmDims,
+    ) -> Result<Self, LocaLutError> {
+        Self::build_with(cfg, method, wf, af, dims, |wf, af, p, _| {
+            SharedLuts::build(wf, af, p)
+        })
     }
 
-    /// The attached shared LUT images, if any.
-    #[must_use]
-    pub fn shared_luts(&self) -> Option<&SharedLuts> {
-        self.luts.as_ref()
+    /// [`BankKernel::build`] with an injected LUT source: wherever the
+    /// method needs shared images, `luts_for(wf, af, p, placement)` is
+    /// asked for them instead of [`SharedLuts::build`]. This keeps the
+    /// method dispatch and planning in exactly one place while letting a
+    /// serving layer substitute a cache — the returned kernel is
+    /// otherwise identical to `build`'s.
+    ///
+    /// # Errors
+    ///
+    /// Format, budget, or planning errors, plus whatever `luts_for`
+    /// reports.
+    pub fn build_with(
+        cfg: &GemmConfig,
+        method: Method,
+        wf: NumericFormat,
+        af: NumericFormat,
+        dims: GemmDims,
+        luts_for: impl FnMut(
+            NumericFormat,
+            NumericFormat,
+            u32,
+            Placement,
+        ) -> Result<SharedLuts, LocaLutError>,
+    ) -> Result<Self, LocaLutError> {
+        Self::build_planned(cfg, method, wf, af, dims, luts_for, |dims, wf, af, k| {
+            Planner::new(cfg.dpu.clone()).plan(dims, wf, af, k)
+        })
+    }
+
+    /// [`BankKernel::build_with`] with the §V-A planning step injected as
+    /// well: where [`Method::LoCaLut`] needs an [`ExecutionPlan`],
+    /// `plan_for(dims, wf, af, k_slices)` is asked for it instead of
+    /// running [`Planner::plan`] directly. A serving layer substitutes a
+    /// memoized planner here; because planning is deterministic, a cached
+    /// plan must equal a recomputed one and the returned kernel is
+    /// identical to `build`'s.
+    ///
+    /// # Errors
+    ///
+    /// Format, budget, or planning errors, plus whatever `luts_for` or
+    /// `plan_for` report.
+    pub fn build_planned(
+        cfg: &GemmConfig,
+        method: Method,
+        wf: NumericFormat,
+        af: NumericFormat,
+        dims: GemmDims,
+        mut luts_for: impl FnMut(
+            NumericFormat,
+            NumericFormat,
+            u32,
+            Placement,
+        ) -> Result<SharedLuts, LocaLutError>,
+        plan_for: impl FnOnce(
+            GemmDims,
+            NumericFormat,
+            NumericFormat,
+            Option<u32>,
+        ) -> Result<ExecutionPlan, LocaLutError>,
+    ) -> Result<Self, LocaLutError> {
+        let plan = || plan_for(dims, wf, af, Some(cfg.k_slices));
+        let spec = KernelSpec::auto(cfg, method, wf, af, plan)?;
+        let luts = spec
+            .placement()
+            .map(|placement| luts_for(wf, af, spec.p(), placement))
+            .transpose()?;
+        Ok(BankKernel { spec, luts })
     }
 
     /// The method this kernel realizes.
     #[must_use]
     pub fn method(&self) -> Method {
-        self.kernel.method()
+        self.spec.method()
     }
 
     /// The kernel's packing degree.
     #[must_use]
     pub fn p(&self) -> u32 {
-        self.kernel.p()
+        self.spec.p()
     }
 
     /// Runs the kernel on one operand tile, reusing the shared LUT images
@@ -451,37 +353,34 @@ impl BankKernel {
     ///
     /// Shape, format, or padding errors.
     pub fn run(&self, w: &QMatrix, a: &QMatrix) -> Result<GemmResult, LocaLutError> {
-        match &self.luts {
-            Some(luts) => self.kernel.run_with_luts(w, a, luts),
-            None => self.kernel.run(w, a),
-        }
+        self.run_panel(w, a, None)
     }
 
     /// The analytic cost twin for a tile of `dims` (equals the profile
     /// [`BankKernel::run`] charges for operands of the same shape).
     #[must_use]
     pub fn cost(&self, dims: GemmDims) -> Profile {
-        self.kernel.cost(dims)
+        self.spec.cost(dims)
     }
 
-    /// Resolves the activation panel the wrapped kernel shares across
-    /// row-sharded banks — `None` when no shared images are attached or
-    /// the kernel has no panel form.
+    /// Resolves the activation panel the kernel shares across row-sharded
+    /// banks — `None` when no shared images are attached or the arm has no
+    /// panel form.
     ///
     /// # Errors
     ///
     /// Shape, format, or padding errors.
     pub fn resolve_panel(&self, a: &QMatrix) -> Result<Option<ActivationPanel>, LocaLutError> {
         match &self.luts {
-            Some(luts) => self.kernel.resolve_panel(a, luts),
+            Some(luts) => self.spec.resolve_panel(a, luts),
             None => Ok(None),
         }
     }
 
     /// Runs one tile against a panel resolved from the same activation
-    /// tile by [`BankKernel::resolve_panel`]; falls back to
-    /// [`BankKernel::run`] when `panel` is `None`. Bitwise identical to
-    /// `run` in values and profile.
+    /// tile by [`BankKernel::resolve_panel`]; with `None` the kernel
+    /// resolves locally. Bitwise identical to [`BankKernel::run`] in
+    /// values and profile.
     ///
     /// # Errors
     ///
@@ -492,10 +391,7 @@ impl BankKernel {
         a: &QMatrix,
         panel: Option<&ActivationPanel>,
     ) -> Result<GemmResult, LocaLutError> {
-        match (&self.luts, panel) {
-            (Some(luts), Some(panel)) => self.kernel.run_with_panel(w, a, luts, panel),
-            _ => self.run(w, a),
-        }
+        self.spec.run(w, a, self.luts.as_ref(), panel)
     }
 }
 
@@ -586,153 +482,4 @@ pub fn par_run(
         // Data-independent profiles make the serial cost twin exact.
         profile: bank.cost(dims),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use quant::Quantizer;
-
-    #[test]
-    fn zero_code_per_format() {
-        assert_eq!(zero_code(NumericFormat::Int(3)), Some(0));
-        assert_eq!(zero_code(NumericFormat::Uint(2)), Some(0));
-        assert_eq!(zero_code(NumericFormat::Bipolar), None);
-    }
-
-    #[test]
-    fn pad_code_requires_zero_only_for_remainders() {
-        assert!(pad_code_for(NumericFormat::Bipolar, 6, 3).is_ok());
-        assert!(matches!(
-            pad_code_for(NumericFormat::Bipolar, 7, 3),
-            Err(LocaLutError::UnpaddableRemainder { remainder: 1 })
-        ));
-        assert_eq!(pad_code_for(NumericFormat::Int(3), 7, 3).unwrap(), 0);
-    }
-
-    #[test]
-    fn require_integer_rejects_floats() {
-        assert!(require_integer(NumericFormat::Int(2), NumericFormat::Int(3)).is_ok());
-        assert!(require_integer(NumericFormat::Fp4, NumericFormat::Int(3)).is_err());
-        assert!(require_integer(NumericFormat::Bipolar, NumericFormat::Fp8).is_err());
-    }
-
-    fn operands(m: usize, k: usize, n: usize) -> (QMatrix, QMatrix) {
-        let wdata: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 13 + 5) % 7) as f32 - 3.0)
-            .collect();
-        let adata: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 3 + 2) % 11) as f32 - 5.0)
-            .collect();
-        (
-            Quantizer::symmetric(NumericFormat::Int(2))
-                .quantize_matrix(&wdata, m, k)
-                .unwrap(),
-            Quantizer::symmetric(NumericFormat::Int(3))
-                .quantize_matrix(&adata, k, n)
-                .unwrap(),
-        )
-    }
-
-    #[test]
-    fn shared_luts_reject_mismatched_kernels() {
-        let luts = SharedLuts::build(NumericFormat::Int(2), NumericFormat::Int(3), 2).unwrap();
-        let kernel = RcKernel::with_p(
-            pim_sim::DpuConfig::upmem(),
-            NumericFormat::Int(2),
-            NumericFormat::Int(3),
-            3, // p differs from the LUT build
-        )
-        .unwrap();
-        let (w, a) = operands(2, 6, 2);
-        assert!(matches!(
-            kernel.run_with_luts(&w, &a, &luts),
-            Err(LocaLutError::UnsupportedFormat(_))
-        ));
-    }
-
-    #[test]
-    fn run_with_luts_matches_run() {
-        let (w, a) = operands(4, 9, 3);
-        let kernel = RcKernel::with_p(
-            pim_sim::DpuConfig::upmem(),
-            NumericFormat::Int(2),
-            NumericFormat::Int(3),
-            3,
-        )
-        .unwrap();
-        let luts = SharedLuts::build(NumericFormat::Int(2), NumericFormat::Int(3), 3).unwrap();
-        let shared = kernel.run_with_luts(&w, &a, &luts).unwrap();
-        let local = LutKernel::run(&kernel, &w, &a).unwrap();
-        assert_eq!(shared, local);
-    }
-
-    #[test]
-    fn bank_kernel_reports_method_and_p_for_every_arm() {
-        let (w, a) = operands(4, 12, 3);
-        let dims = GemmDims::of(&w, &a).unwrap();
-        let cfg = GemmConfig::upmem();
-        for method in Method::ALL {
-            let bank = BankKernel::build(&cfg, method, w.format(), a.format(), dims).unwrap();
-            // A LoCaLut plan that lands buffer-resident is realized by the
-            // RC arm and reports itself as such (same contract as before
-            // the trait unification).
-            if method == Method::LoCaLut {
-                assert!(matches!(bank.method(), Method::LoCaLut | Method::OpLcRc));
-            } else {
-                assert_eq!(bank.method(), method);
-            }
-            assert!(bank.p() >= 1, "{method}");
-            // LUT images are attached exactly where the method shares them.
-            assert_eq!(
-                bank.shared_luts().is_some(),
-                matches!(method, Method::OpLcRc | Method::LoCaLut),
-                "{method}"
-            );
-            let out = bank.run(&w, &a).unwrap();
-            assert_eq!(out.profile, bank.cost(dims), "{method}");
-        }
-    }
-
-    #[test]
-    fn trait_dispatch_matches_inherent_calls() {
-        let (w, a) = operands(5, 10, 2);
-        let kernel = RcKernel::with_p(
-            pim_sim::DpuConfig::upmem(),
-            NumericFormat::Int(2),
-            NumericFormat::Int(3),
-            2,
-        )
-        .unwrap();
-        let erased: &dyn LutKernel = &kernel;
-        assert_eq!(erased.method(), Method::OpLcRc);
-        assert_eq!(erased.p(), 2);
-        let dims = erased.validate(&w, &a).unwrap();
-        let out = erased.run(&w, &a).unwrap();
-        assert_eq!(out.profile, erased.cost(dims));
-    }
-
-    #[test]
-    fn par_run_is_bit_identical_to_serial_for_all_methods() {
-        let (w, a) = operands(6, 12, 5);
-        let cfg = GemmConfig::upmem();
-        for method in Method::ALL {
-            let serial = cfg.run(method, &w, &a).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let par = par_run(&cfg, method, &w, &a, threads).unwrap();
-                assert_eq!(par.values, serial.values, "{method} values @{threads}");
-                assert_eq!(par.profile, serial.profile, "{method} profile @{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_run_handles_more_threads_than_columns() {
-        let (w, a) = operands(3, 8, 2);
-        let cfg = GemmConfig::upmem();
-        let serial = cfg.run(Method::OpLcRc, &w, &a).unwrap();
-        let par = par_run(&cfg, Method::OpLcRc, &w, &a, 64).unwrap();
-        assert_eq!(par.values, serial.values);
-        assert_eq!(par.profile, serial.profile);
-    }
 }

@@ -13,9 +13,10 @@
 //! * [`model`] — Eq. 2–6: `p*` selection and stream-vs-buffer choice (§IV-D).
 //! * [`kernels`] — the six GEMM kernels of the evaluation (Naive PIM, LTC,
 //!   OP, OP+LC, OP+LC+RC, full LoCaLUT), functional *and* timed on
-//!   [`pim_sim`], unified behind the [`kernels::LutKernel`] trait.
+//!   [`pim_sim`]: one [`kernels::KernelSpec`] value, one blocked driver,
+//!   one cost function.
 //! * [`codes`] — group-major bit-packed operand code words and the reused
-//!   per-group scratch the blocked kernel loops run on.
+//!   per-group scratch the blocked kernel loop runs on.
 //! * [`plan`] — the automatic planner of §V-A.
 //! * [`tiling`] — bank-level data/context parallelism and host transfers.
 //!

@@ -4,7 +4,7 @@
 
 use crate::capacity::{localut_bytes, max_p_localut, slice_pair_bytes};
 use crate::gemm::GemmDims;
-use crate::kernels::{LutKernel, RcKernel, StreamingKernel};
+use crate::kernels::KernelSpec;
 use crate::model::PerfModel;
 use crate::LocaLutError;
 use pim_sim::{DpuConfig, Profile};
@@ -46,30 +46,14 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Builds the kernel this plan describes, as a trait object: a
-    /// buffer-resident plan yields an [`RcKernel`], a streaming plan a
-    /// [`StreamingKernel`], and every caller dispatches through
-    /// [`LutKernel`] without matching on the placement again.
+    /// Builds the kernel this plan describes
+    /// ([`KernelSpec::placed`] at the plan's `(p, placement, k_slices)`).
     ///
     /// # Errors
     ///
     /// Budget errors (should not occur for plans produced by [`Planner`]).
-    pub fn kernel(&self, cfg: &DpuConfig) -> Result<Box<dyn LutKernel>, LocaLutError> {
-        match self.placement {
-            Placement::BufferResident => Ok(Box::new(RcKernel::with_p(
-                cfg.clone(),
-                self.wf,
-                self.af,
-                self.p,
-            )?)),
-            Placement::Streaming => Ok(Box::new(StreamingKernel::new(
-                cfg.clone(),
-                self.wf,
-                self.af,
-                self.p,
-                self.k_slices,
-            )?)),
-        }
+    pub fn kernel(&self, cfg: &DpuConfig) -> Result<KernelSpec, LocaLutError> {
+        KernelSpec::placed(cfg, self.wf, self.af, self.p, self.placement, self.k_slices)
     }
 
     /// The plan's analytic cost for given dimensions.
@@ -245,31 +229,22 @@ impl Planner {
             }
         };
 
+        // Buffer-resident first, then streaming by ascending `k`, then `p`.
         let p_local = max_p_localut(wf, af, self.cfg.wram_lut_budget());
-        if p_local > 0 {
-            if let Ok(kernel) = RcKernel::with_p(self.cfg.clone(), wf, af, p_local) {
+        let buffer = (p_local > 0).then_some((Placement::BufferResident, p_local, 1));
+        let streaming = [1, 2, 4, 8].into_iter().flat_map(|k| {
+            (1..=self.max_streaming_p(wf, af, k)).map(move |p| (Placement::Streaming, p, k))
+        });
+        for (placement, p, k_slices) in buffer.into_iter().chain(streaming) {
+            if let Ok(kernel) = KernelSpec::placed(&self.cfg, wf, af, p, placement, k_slices) {
                 consider(ExecutionPlan {
-                    placement: Placement::BufferResident,
-                    p: p_local,
-                    k_slices: 1,
+                    placement,
+                    p,
+                    k_slices,
                     predicted_seconds: kernel.cost(dims).total_seconds(),
                     wf,
                     af,
                 });
-            }
-        }
-        for k in [1, 2, 4, 8] {
-            for p in 1..=self.max_streaming_p(wf, af, k) {
-                if let Ok(kernel) = StreamingKernel::new(self.cfg.clone(), wf, af, p, k) {
-                    consider(ExecutionPlan {
-                        placement: Placement::Streaming,
-                        p,
-                        k_slices: k,
-                        predicted_seconds: kernel.cost(dims).total_seconds(),
-                        wf,
-                        af,
-                    });
-                }
             }
         }
 
@@ -361,11 +336,7 @@ mod tests {
         let cost = kernel.cost(dims);
         assert!(cost.total_seconds() > 0.0);
         assert_eq!(kernel.p(), plan.p);
-        let expected = match plan.placement {
-            Placement::BufferResident => crate::gemm::Method::OpLcRc,
-            Placement::Streaming => crate::gemm::Method::LoCaLut,
-        };
-        assert_eq!(kernel.method(), expected, "placement/kernel mismatch");
+        assert_eq!(kernel.placement(), Some(plan.placement));
     }
 
     #[test]
@@ -381,7 +352,15 @@ mod tests {
         // space it claims to have covered.
         for k in [1u32, 2, 4, 8] {
             for cand_p in 1..=p.max_streaming_p(W1, A3, k) {
-                let kernel = StreamingKernel::new(DpuConfig::upmem(), W1, A3, cand_p, k).unwrap();
+                let kernel = KernelSpec::placed(
+                    &DpuConfig::upmem(),
+                    W1,
+                    A3,
+                    cand_p,
+                    Placement::Streaming,
+                    k,
+                )
+                .unwrap();
                 assert!(
                     kernel.cost(dims).total_seconds() >= plan.predicted_seconds - 1e-18,
                     "streaming p={cand_p} k={k} beats the measured plan"

@@ -7,10 +7,10 @@
 //! and reordering LUT images are shared read-only through the
 //! [`BankKernel`]'s internal `Arc`s (one build, N readers, as the §V-A
 //! broadcast works on hardware). All kernel dispatch goes through the
-//! `localut::kernels::LutKernel` trait object the `BankKernel` wraps; the
-//! executor never matches on a method. Before fanning out, it resolves one
+//! `localut::kernels::KernelSpec` the `BankKernel` holds; the executor
+//! never matches on a method. Before fanning out, it resolves one
 //! `localut::codes::ActivationPanel` per activation column band through
-//! the trait's `resolve_panel` hook, so row-sharded banks of a band share
+//! [`BankKernel::resolve_panel`], so row-sharded banks of a band share
 //! the activation-side group resolution instead of each redoing it
 //! (bitwise-identical results, DESIGN.md §12).
 //!
@@ -453,11 +453,13 @@ impl ParallelExecutor {
     /// therefore cannot serialize the tail behind one unlucky worker.
     /// Results are keyed by item index and assembled ascending after the
     /// pool joins, so *who* executed an item can never change any output
-    /// bit.
+    /// bit. When only one worker would run (a one-thread pool, or a single
+    /// item) the items are mapped on the calling thread and no thread is
+    /// spawned.
     ///
     /// # Panics
     ///
-    /// Panics if `f` panics on a worker thread.
+    /// Panics if `f` panics.
     ///
     /// # Examples
     ///
@@ -477,6 +479,11 @@ impl ParallelExecutor {
         // With more workers than items, the surplus workers would have
         // nothing to own or steal — don't spawn threads for them.
         let workers = self.threads.min(items.len().max(1));
+        // A lone worker has no sibling to steal from: run it on the
+        // calling thread instead of paying a spawn and a join per call.
+        if workers == 1 {
+            return items.iter().map(f).collect();
+        }
         // Seed each worker's deque with a contiguous index block (the
         // first `rem` workers take one extra so blocks differ by ≤ 1).
         let base = items.len() / workers;
@@ -727,6 +734,19 @@ mod tests {
             let out = ParallelExecutor::new(threads).map(&items, |&x| x + 1);
             assert_eq!(out, (1..38).collect::<Vec<_>>(), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn lone_worker_maps_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on =
+            |pool: ParallelExecutor, items: &[u8]| pool.map(items, |_| std::thread::current().id());
+        // A one-thread pool, and a single item on a wide pool: no spawn.
+        assert_eq!(ran_on(ParallelExecutor::new(1), &[0; 5]), vec![caller; 5]);
+        assert_eq!(ran_on(ParallelExecutor::new(4), &[0]), vec![caller]);
+        assert!(ran_on(ParallelExecutor::new(4), &[]).is_empty());
+        // Two workers: the pool's own threads.
+        assert!(!ran_on(ParallelExecutor::new(2), &[0; 2]).contains(&caller));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! pollutes the counter.
 
 use localut::codes::ActivationPanel;
-use localut::kernels::{SharedLuts, StreamingKernel};
-use pim_sim::DpuConfig;
+use localut::kernels::{KernelSpec, SharedLuts};
+use localut::{GemmConfig, Method};
 use quant::{NumericFormat, QMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +53,8 @@ fn kernel_allocations_do_not_scale_with_group_count() {
     let wf = NumericFormat::Bipolar;
     let af = NumericFormat::Int(3);
     let p = 4;
-    let kernel = StreamingKernel::new(DpuConfig::upmem(), wf, af, p, 2).expect("fits budgets");
+    let kernel =
+        KernelSpec::with_p(&GemmConfig::upmem(), Method::LoCaLut, wf, af, p).expect("fits budgets");
     let luts = SharedLuts::build(wf, af, p).expect("small LUT builds");
 
     // Small: ⌈8/4⌉ · 4 = 8 groups. Large: ⌈24/4⌉ · 32 = 192 groups (24×).
@@ -69,17 +70,17 @@ fn kernel_allocations_do_not_scale_with_group_count() {
     // Warm once so lazily initialized state (thread locals, table caches)
     // doesn't bill its setup to the first measured run.
     kernel
-        .run_with_luts(&small.0, &small.1, &luts)
+        .run(&small.0, &small.1, Some(&luts), None)
         .expect("small GEMM runs");
 
     let count_small = allocs_during(|| {
         kernel
-            .run_with_luts(&small.0, &small.1, &luts)
+            .run(&small.0, &small.1, Some(&luts), None)
             .expect("small GEMM runs");
     });
     let count_large = allocs_during(|| {
         kernel
-            .run_with_luts(&large.0, &large.1, &luts)
+            .run(&large.0, &large.1, Some(&luts), None)
             .expect("large GEMM runs");
     });
 
@@ -96,19 +97,19 @@ fn kernel_allocations_do_not_scale_with_group_count() {
         "blocked kernel made {count_small} allocations on a tiny GEMM"
     );
 
-    // The shard path — panel resolved once, consumed by `run_with_panel` —
+    // The shard path — panel resolved once, handed to `run` —
     // must hold the same flat budget per bank invocation.
     let pad = 0u16;
     let panel = ActivationPanel::resolve(&large.1, p as usize, pad, luts.canonical())
         .expect("panel resolves");
     let count_panel_run = allocs_during(|| {
         kernel
-            .run_with_panel(&large.0, &large.1, &luts, &panel)
+            .run(&large.0, &large.1, Some(&luts), Some(&panel))
             .expect("panel GEMM runs");
     });
     assert!(
         count_panel_run <= count_large,
-        "run_with_panel ({count_panel_run} allocations) must not exceed the \
+        "the panel run ({count_panel_run} allocations) must not exceed the \
          self-resolving path ({count_large})"
     );
 }

@@ -15,7 +15,7 @@ use localut_repro::dnn::{InferenceSim, ModelConfig, Workload};
 use localut_repro::engine::{
     BatchGemmRequest, CacheOutcome, Engine, EngineError, GemmRequest, InferenceRequest, PlanPin,
 };
-use localut_repro::localut::kernels::{RcKernel, StreamingKernel};
+use localut_repro::localut::kernels::KernelSpec;
 use localut_repro::localut::plan::Placement;
 use localut_repro::localut::{GemmConfig, GemmDims, Method};
 use localut_repro::pim_sim::EnergyModel;
@@ -179,9 +179,9 @@ fn pinned_requests_match_direct_kernel_construction() {
             p: 5,
         }))
         .unwrap();
-    let direct = RcKernel::with_p(dpu.clone(), wf, af, 5)
+    let direct = KernelSpec::placed(&dpu, wf, af, 5, Placement::BufferResident, 1)
         .unwrap()
-        .run(&w, &a)
+        .run(&w, &a, None, None)
         .unwrap();
     assert_eq!(buffer.values, direct.values);
     assert_eq!(buffer.profile, direct.profile);
@@ -193,9 +193,10 @@ fn pinned_requests_match_direct_kernel_construction() {
             p: 5,
         }))
         .unwrap();
-    let direct = StreamingKernel::new(dpu, wf, af, 5, engine.gemm_config().k_slices)
+    let k_slices = engine.gemm_config().k_slices;
+    let direct = KernelSpec::placed(&dpu, wf, af, 5, Placement::Streaming, k_slices)
         .unwrap()
-        .run(&w, &a)
+        .run(&w, &a, None, None)
         .unwrap();
     assert_eq!(streaming.values, direct.values);
     assert_eq!(streaming.profile, direct.profile);

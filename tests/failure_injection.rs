@@ -2,9 +2,9 @@
 //! as a typed error through the public API — never a panic, never a wrong
 //! answer.
 
-use localut::kernels::{LcKernel, OpKernel, RcKernel, StreamingKernel};
-use localut::plan::Planner;
-use localut::{GemmDims, LocaLutError};
+use localut::kernels::{BankKernel, KernelSpec};
+use localut::plan::{Placement, Planner};
+use localut::{GemmConfig, GemmDims, LocaLutError, Method};
 use pim_sim::{Dpu, DpuConfig, SimError};
 use quant::{NumericFormat, QMatrix, Quantizer};
 
@@ -36,35 +36,49 @@ fn bank_exhaustion_is_typed() {
 
 #[test]
 fn oversized_packing_degrees_are_rejected_per_kernel() {
-    let cfg = DpuConfig::upmem();
+    let cfg = GemmConfig::upmem();
     let w1 = NumericFormat::Bipolar;
     let a3 = NumericFormat::Int(3);
+    let streaming = |p, k| KernelSpec::placed(&cfg.dpu, w1, a3, p, Placement::Streaming, k);
     // Streaming: p=9 exceeds the bank budget at W1A3.
     assert!(matches!(
-        StreamingKernel::new(cfg.clone(), w1, a3, 9, 2),
+        streaming(9, 2),
         Err(LocaLutError::BudgetExceeded { .. })
     ));
     // Zero p / zero k.
-    assert!(StreamingKernel::new(cfg.clone(), w1, a3, 0, 2).is_err());
-    assert!(StreamingKernel::new(cfg.clone(), w1, a3, 6, 0).is_err());
-    assert!(OpKernel::with_p(cfg.clone(), w1, a3, 0).is_err());
-    assert!(LcKernel::with_p(cfg.clone(), w1, a3, 0).is_err());
-    assert!(RcKernel::with_p(cfg, w1, a3, 0).is_err());
+    assert!(streaming(0, 2).is_err());
+    assert!(streaming(6, 0).is_err());
+    for method in Method::ALL {
+        assert!(KernelSpec::with_p(&cfg, method, w1, a3, 0).is_err());
+    }
 }
 
 #[test]
 fn float_formats_rejected_by_integer_kernels() {
-    let cfg = DpuConfig::upmem();
+    // Format feasibility is decided once, at construction, for all six
+    // arms — and the cost twin reports exactly what construction would.
+    let cfg = GemmConfig::upmem();
+    let dims = GemmDims { m: 8, k: 8, n: 2 };
     for (wf, af) in [
         (NumericFormat::Fp4, NumericFormat::Int(3)),
         (NumericFormat::Bipolar, NumericFormat::Fp8),
         (NumericFormat::Fp16, NumericFormat::Fp16),
+        (NumericFormat::Fp4, NumericFormat::Fp4),
     ] {
-        assert!(matches!(
-            RcKernel::with_p(cfg.clone(), wf, af, 2),
-            Err(LocaLutError::UnsupportedFormat(_))
-        ));
-        assert!(OpKernel::auto(cfg.clone(), wf, af).is_err());
+        for method in Method::ALL {
+            assert!(matches!(
+                KernelSpec::with_p(&cfg, method, wf, af, 1),
+                Err(LocaLutError::UnsupportedFormat(_))
+            ));
+            assert!(matches!(
+                BankKernel::build(&cfg, method, wf, af, dims),
+                Err(LocaLutError::UnsupportedFormat(_))
+            ));
+            assert!(matches!(
+                cfg.cost(method, dims, wf, af),
+                Err(LocaLutError::UnsupportedFormat(_))
+            ));
+        }
     }
 }
 
@@ -90,14 +104,15 @@ fn starved_budgets_make_the_planner_fail_loudly() {
 #[test]
 fn bipolar_activations_with_ragged_k_fail_with_unpaddable() {
     // Activations without a zero code cannot pad K % p != 0.
-    let cfg = DpuConfig::upmem();
+    let cfg = GemmConfig::upmem();
     let wq = Quantizer::symmetric(NumericFormat::Int(2));
     let aq = Quantizer::symmetric(NumericFormat::Bipolar);
     let w = wq.quantize_matrix(&[0.5; 2 * 7], 2, 7).unwrap();
     let a = aq.quantize_matrix(&[0.5; 7 * 2], 7, 2).unwrap();
-    let kernel = OpKernel::with_p(cfg, NumericFormat::Int(2), NumericFormat::Bipolar, 3).unwrap();
+    let (wf, af) = (NumericFormat::Int(2), NumericFormat::Bipolar);
+    let kernel = KernelSpec::with_p(&cfg, Method::Op, wf, af, 3).unwrap();
     assert!(matches!(
-        kernel.run(&w, &a),
+        kernel.run(&w, &a, None, None),
         Err(LocaLutError::UnpaddableRemainder { remainder: 1 })
     ));
 }

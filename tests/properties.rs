@@ -7,14 +7,12 @@
 
 use localut::canonical::CanonicalLut;
 use localut::gemm::{reference_gemm, GemmConfig, GemmDims, Method};
-use localut::kernels::{
-    par_run, LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel, SharedLuts, StreamingKernel,
-};
+use localut::kernels::{par_run, KernelSpec, SharedLuts};
 use localut::multiset;
 use localut::packed::{pack_index, unpack_index};
 use localut::perm::{apply, lehmer_rank, lehmer_unrank, sort_permutation};
 use localut::value::dot_codes;
-use pim_sim::{Category, CycleLedger, DpuConfig, Stats};
+use pim_sim::{Category, CycleLedger, Stats};
 use proptest::prelude::*;
 use quant::{NumericFormat, QMatrix};
 use runtime::{ParallelExecutor, RankPlan, ShardPlan};
@@ -43,21 +41,16 @@ proptest! {
         let w = qmatrix(m, k, wf, seed);
         let a = qmatrix(k, n, af, seed.wrapping_add(1));
         let reference: Vec<i32> = reference_gemm(&w, &a).unwrap();
-        let cfg = DpuConfig::upmem();
+        let cfg = GemmConfig::upmem();
 
-        let naive = NaiveKernel::new(cfg.clone(), wf, af).run(&w, &a).unwrap();
-        prop_assert_eq!(&naive.values, &reference);
-        let ltc = LtcKernel::new(cfg.clone(), wf, af).run(&w, &a).unwrap();
-        prop_assert_eq!(&ltc.values, &reference);
-        let op = OpKernel::with_p(cfg.clone(), wf, af, p).unwrap().run(&w, &a).unwrap();
-        prop_assert_eq!(&op.values, &reference);
-        let lc = LcKernel::with_p(cfg.clone(), wf, af, p).unwrap().run(&w, &a).unwrap();
-        prop_assert_eq!(&lc.values, &reference);
-        let rc = RcKernel::with_p(cfg.clone(), wf, af, p).unwrap().run(&w, &a).unwrap();
-        prop_assert_eq!(&rc.values, &reference);
-        if let Ok(streaming) = StreamingKernel::new(cfg, wf, af, p, 2) {
-            let s = streaming.run(&w, &a).unwrap();
-            prop_assert_eq!(&s.values, &reference);
+        for method in Method::ALL {
+            let p = if matches!(method, Method::NaivePim | Method::Ltc) { 1 } else { p };
+            // Streaming may not fit the budgets at this (format, p).
+            let kernel = match KernelSpec::with_p(&cfg, method, wf, af, p) {
+                Err(_) if method == Method::LoCaLut => continue,
+                kernel => kernel.unwrap(),
+            };
+            prop_assert_eq!(&kernel.run(&w, &a, None, None).unwrap().values, &reference);
         }
     }
 
@@ -81,13 +74,13 @@ proptest! {
         let w = qmatrix(m, k, wf, seed);
         let a = qmatrix(k, n, af, seed.wrapping_add(3));
         let reference: Vec<i32> = reference_gemm(&w, &a).unwrap();
-        let cfg = DpuConfig::upmem();
+        let cfg = GemmConfig::upmem();
 
         let luts = SharedLuts::build(wf, af, p).unwrap();
-        let rc = RcKernel::with_p(cfg.clone(), wf, af, p).unwrap();
-        prop_assert_eq!(&rc.run_with_luts(&w, &a, &luts).unwrap().values, &reference);
-        if let Ok(s) = StreamingKernel::new(cfg, wf, af, p, 2) {
-            prop_assert_eq!(&s.run_with_luts(&w, &a, &luts).unwrap().values, &reference);
+        let rc = KernelSpec::with_p(&cfg, Method::OpLcRc, wf, af, p).unwrap();
+        prop_assert_eq!(&rc.run(&w, &a, Some(&luts), None).unwrap().values, &reference);
+        if let Ok(s) = KernelSpec::with_p(&cfg, Method::LoCaLut, wf, af, p) {
+            prop_assert_eq!(&s.run(&w, &a, Some(&luts), None).unwrap().values, &reference);
         }
     }
 
@@ -311,14 +304,14 @@ proptest! {
         let w = qmatrix(m, k, wf, seed);
         let a = qmatrix(k, n, af, seed + 7);
         let dims = GemmDims { m, k, n };
-        let cfg = DpuConfig::upmem();
+        let cfg = GemmConfig::upmem();
 
-        let op = OpKernel::with_p(cfg.clone(), wf, af, p).unwrap();
-        prop_assert_eq!(op.run(&w, &a).unwrap().profile, op.cost(dims));
-        let rc = RcKernel::with_p(cfg.clone(), wf, af, p).unwrap();
-        prop_assert_eq!(rc.run(&w, &a).unwrap().profile, rc.cost(dims));
-        if let Ok(s) = StreamingKernel::new(cfg, wf, af, p, 2) {
-            prop_assert_eq!(s.run(&w, &a).unwrap().profile, s.cost(dims));
+        let op = KernelSpec::with_p(&cfg, Method::Op, wf, af, p).unwrap();
+        prop_assert_eq!(op.run(&w, &a, None, None).unwrap().profile, op.cost(dims));
+        let rc = KernelSpec::with_p(&cfg, Method::OpLcRc, wf, af, p).unwrap();
+        prop_assert_eq!(rc.run(&w, &a, None, None).unwrap().profile, rc.cost(dims));
+        if let Ok(s) = KernelSpec::with_p(&cfg, Method::LoCaLut, wf, af, p) {
+            prop_assert_eq!(s.run(&w, &a, None, None).unwrap().profile, s.cost(dims));
         }
     }
 }
