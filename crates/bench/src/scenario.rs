@@ -22,7 +22,7 @@ use crate::picojoules;
 use dnn::{ModelConfig, Workload};
 use engine::serve::{drive_client, ArrivalMode, ServeConfig, Server};
 use engine::traffic::{client_log, Mix, TrafficConfig, TrafficRequest};
-use engine::{Engine, GemmRequest, InferenceRequest, PlanPin};
+use engine::{Engine, EngineBuilder, GemmRequest, InferenceRequest, PlanPin, ServeSummary};
 use localut::plan::Placement;
 use localut::{GemmDims, Method};
 use netserve::server::{NetConfig, NetServer};
@@ -405,13 +405,69 @@ fn serving_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     }
 }
 
-/// The `serve` class: real concurrent traffic — client threads submitting
-/// a seeded mixed request log to the [`engine::serve`] scheduler, workers
-/// coalescing compatible GEMMs into dynamic batches. The recorded outcome
-/// is the server's deterministic summary: any interleaving, worker count,
-/// and batching policy merges to these exact integers (the property
-/// `tests/serve_concurrent.rs` pins against serial replay), so the perf
-/// gate can hold serving throughput to the committed baseline.
+/// The body the three in-process serving classes share: client threads
+/// submit `traffic`'s seeded logs to the [`engine::serve`] scheduler over
+/// `engine`, workers coalescing compatible GEMMs into dynamic batches and
+/// running sessions one step per dispatch. The returned summary is
+/// deterministic: any interleaving, worker count, and batching policy
+/// merges to these exact integers (the property `tests/serve_concurrent.rs`
+/// and `tests/serve_decode.rs` pin against serial replay), so the perf
+/// gate can hold serving cost to the committed baseline.
+///
+/// `strip_bank_overrides` drops the seeded logs' small per-request bank
+/// counts so the engine's own topology governs every GEMM's shard plan.
+fn serve_traffic(
+    ctx: &ScenarioCtx,
+    traffic: &TrafficConfig,
+    engine: EngineBuilder,
+    strip_bank_overrides: bool,
+) -> ServeSummary {
+    // Engine pool of 1: host parallelism comes from the scheduler workers
+    // here, and nesting both pools would oversubscribe small CI runners.
+    let engine = Arc::new(engine.threads(1).build());
+    let server = Server::start(
+        engine,
+        &ServeConfig::builder()
+            .workers(ctx.threads)
+            .max_batch(4)
+            .build()
+            .expect("static serve config is valid"),
+    );
+    std::thread::scope(|scope| {
+        for client in 0..traffic.clients {
+            let server = &server;
+            let mut log = client_log(traffic, client);
+            if strip_bank_overrides {
+                for request in &mut log {
+                    if let TrafficRequest::Gemm(gemm) = request {
+                        gemm.banks = None;
+                    }
+                }
+            }
+            scope.spawn(move || drive_client(server, log, ArrivalMode::Closed));
+        }
+    });
+    let summary = server.join().summary;
+    assert_eq!(
+        summary.failed_requests,
+        0,
+        "seeded {} traffic must be feasible",
+        traffic.mix.name()
+    );
+    summary
+}
+
+/// A serving run's deterministic summary as a scenario outcome.
+fn summary_outcome(summary: &ServeSummary) -> ScenarioOutcome {
+    ScenarioOutcome {
+        stats: summary.stats.clone(),
+        energy_pj: summary.energy_pj,
+        checksum: summary.checksum,
+    }
+}
+
+/// The `serve` class: real concurrent traffic — a seeded mixed request
+/// log through the scheduler on a flat 4-bank engine.
 fn serve_sched_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     let traffic = TrafficConfig {
         clients: 3,
@@ -420,44 +476,20 @@ fn serve_sched_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
         seed: 2026,
         decode_tokens: 4,
     };
-    // Engine pool of 1: host parallelism comes from the scheduler workers
-    // here, and nesting both pools would oversubscribe small CI runners.
-    let engine = Arc::new(Engine::builder().threads(1).banks(4).build());
-    let server = Server::start(
-        engine,
-        &ServeConfig::builder()
-            .workers(ctx.threads)
-            .max_batch(4)
-            .build()
-            .expect("static serve config is valid"),
-    );
-    std::thread::scope(|scope| {
-        for client in 0..traffic.clients {
-            let server = &server;
-            let log = client_log(&traffic, client);
-            scope.spawn(move || drive_client(server, log, ArrivalMode::Closed));
-        }
-    });
-    let report = server.join();
-    assert_eq!(
-        report.summary.failed_requests, 0,
-        "seeded serve traffic must be feasible"
-    );
-    ScenarioOutcome {
-        stats: report.summary.stats.clone(),
-        energy_pj: report.summary.energy_pj,
-        checksum: report.summary.checksum,
-    }
+    summary_outcome(&serve_traffic(
+        ctx,
+        &traffic,
+        Engine::builder().banks(4),
+        false,
+    ))
 }
 
 /// The scale-out serving class: the same concurrent scheduler as
 /// `serve_mixed`, but over an engine configured as the paper's full
-/// ranked machine (32 ranks × 64 banks). The seeded log's small
-/// per-request bank overrides are stripped so the ranked topology governs
-/// every GEMM's shard plan — each request merges through the per-rank
-/// tree and pays the rank-bus contention phase. The summary stays exactly
-/// as deterministic as the flat scenarios: the gate holds full-machine
-/// serving cost to the committed baseline.
+/// ranked machine (32 ranks × 64 banks), bank overrides stripped — each
+/// request merges through the per-rank tree and pays the rank-bus
+/// contention phase, so the gate holds full-machine serving cost to the
+/// committed baseline.
 fn serve_rank_scale_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     let traffic = TrafficConfig {
         clients: 2,
@@ -466,49 +498,19 @@ fn serve_rank_scale_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
         seed: 3215,
         decode_tokens: 4,
     };
-    // Engine pool of 1 for the same oversubscription reason as serve_mixed.
-    let engine = Arc::new(Engine::builder().threads(1).ranks(32, 64).build());
-    let server = Server::start(
-        engine,
-        &ServeConfig::builder()
-            .workers(ctx.threads)
-            .max_batch(4)
-            .build()
-            .expect("static serve config is valid"),
-    );
-    std::thread::scope(|scope| {
-        for client in 0..traffic.clients {
-            let server = &server;
-            let mut log = client_log(&traffic, client);
-            for request in &mut log {
-                if let TrafficRequest::Gemm(gemm) = request {
-                    gemm.banks = None;
-                }
-            }
-            scope.spawn(move || drive_client(server, log, ArrivalMode::Closed));
-        }
-    });
-    let report = server.join();
-    assert_eq!(
-        report.summary.failed_requests, 0,
-        "seeded rank-scale traffic must be feasible"
-    );
-    ScenarioOutcome {
-        stats: report.summary.stats.clone(),
-        energy_pj: report.summary.energy_pj,
-        checksum: report.summary.checksum,
-    }
+    summary_outcome(&serve_traffic(
+        ctx,
+        &traffic,
+        Engine::builder().ranks(32, 64),
+        true,
+    ))
 }
 
 /// The continuous-batching class: seeded decoder sessions
-/// ([`Mix::Decode`]) through the [`engine::serve`] scheduler. Each session
-/// is decomposed into one prefill step plus its decode steps; workers run
-/// one step per dispatch and re-enqueue the continuation, so the decode
-/// waves of concurrent sessions interleave. The recorded outcome is the
-/// deterministic summary — identical at any worker count and any
-/// interleaving (pinned by `tests/serve_decode.rs` against serial replay)
-/// — so the perf gate holds decode-serving cost to the committed
-/// baseline.
+/// ([`Mix::Decode`]). Each session is decomposed into one prefill step
+/// plus its decode steps; workers run one step per dispatch and re-enqueue
+/// the continuation, so the decode waves of concurrent sessions
+/// interleave.
 fn serve_decode_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     let traffic = TrafficConfig {
         clients: 2,
@@ -517,37 +519,12 @@ fn serve_decode_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
         seed: 2608,
         decode_tokens: 4,
     };
-    // Engine pool of 1 for the same oversubscription reason as serve_mixed.
-    let engine = Arc::new(Engine::builder().threads(1).banks(4).build());
-    let server = Server::start(
-        engine,
-        &ServeConfig::builder()
-            .workers(ctx.threads)
-            .max_batch(4)
-            .build()
-            .expect("static serve config is valid"),
-    );
-    std::thread::scope(|scope| {
-        for client in 0..traffic.clients {
-            let server = &server;
-            let log = client_log(&traffic, client);
-            scope.spawn(move || drive_client(server, log, ArrivalMode::Closed));
-        }
-    });
-    let report = server.join();
-    assert_eq!(
-        report.summary.failed_requests, 0,
-        "seeded decode traffic must be feasible"
-    );
+    let summary = serve_traffic(ctx, &traffic, Engine::builder().banks(4), false);
     assert!(
-        report.summary.decode_steps > 0,
+        summary.decode_steps > 0,
         "decode traffic must schedule decode steps"
     );
-    ScenarioOutcome {
-        stats: report.summary.stats.clone(),
-        energy_pj: report.summary.energy_pj,
-        checksum: report.summary.checksum,
-    }
+    summary_outcome(&summary)
 }
 
 /// The network front-end class: seeded mixed traffic driven over loopback
@@ -595,16 +572,12 @@ fn serve_net_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
             });
         }
     });
-    let report = server.join();
+    let summary = server.join().serve.summary;
     assert_eq!(
-        report.serve.summary.failed_requests, 0,
+        summary.failed_requests, 0,
         "seeded net traffic must be feasible"
     );
-    ScenarioOutcome {
-        stats: report.serve.summary.stats.clone(),
-        energy_pj: report.serve.summary.energy_pj,
-        checksum: report.serve.summary.checksum,
-    }
+    summary_outcome(&summary)
 }
 
 /// The cache-lifecycle class: a format-churning GEMM stream against an

@@ -1,26 +1,23 @@
-//! The cache-lifecycle subsystem: byte-budget LRU eviction, on-disk LUT
-//! persistence, and planner memoization.
+//! The cache-lifecycle subsystem: one bounded LRU policy under the LUT
+//! cache and the plan memo, and on-disk LUT persistence.
 //!
-//! The LUT cache (the crate-private `cache` module) started as a
-//! grow-only map — the
-//! software twin of the paper's one-time §V-A broadcast. A deployable
-//! serving process gets restarted, rescheduled, and multi-tenanted, so
-//! this module adds the lifecycle around that map:
+//! The LUT cache started as a grow-only map — the software twin of the
+//! paper's one-time §V-A broadcast. A deployable serving process gets
+//! restarted, rescheduled, and multi-tenanted, so this module holds the
+//! lifecycle around that map:
 //!
-//! * `lru` (crate-private) — a byte-budgeted least-recently-used ledger.
-//!   Every entry's
-//!   resident size is derived from its image dimensions
-//!   ([`localut::kernels::SharedLuts::resident_bytes`]); when a configured
-//!   budget is exceeded the least-recently-used entries are evicted, in a
-//!   deterministic order, until the cache fits again.
+//! * [`lru`] — the single deterministic tick-LRU, its two thin users and
+//!   their key/stats types: the LUT cache (entries weigh their resident
+//!   bytes, [`localut::kernels::SharedLuts::resident_bytes`], against an
+//!   optional byte budget) and the plan memo of §V-A decisions
+//!   (`(dims, formats, k-slices, cost model) → ExecutionPlan`, weight 1
+//!   against [`lru::PLAN_MEMO_CAP`]). Over the bound, least-recently-used
+//!   entries are evicted in a deterministic order until the map fits.
 //! * [`store`] — dependency-free on-disk persistence (`std::fs` only): a
 //!   checksummed manifest plus one checksummed binary image file per
 //!   cache key, written on drain and restored on engine construction.
 //!   LUT images are pure functions of their key, so a restored image is
 //!   bitwise identical to a rebuilt one.
-//! * [`memo`] — a bounded memo of §V-A planning decisions
-//!   (`(dims, formats, k-slices, cost model) → ExecutionPlan`), so
-//!   repeated shapes skip re-planning on the hot path.
 //!
 //! ## The determinism contract
 //!
@@ -36,8 +33,7 @@
 //! the response). Plan memoization returns clones of deterministic plans.
 //! What *is* allowed to differ between a warm and a cold run, or between
 //! budgeted and unbudgeted runs, are the host-side lifecycle counters
-//! ([`crate::CacheStats`], [`memo::MemoStats`]) and wall-clock.
+//! ([`crate::CacheStats`], [`crate::MemoStats`]) and wall-clock.
 
-pub(crate) mod lru;
-pub mod memo;
+pub mod lru;
 pub mod store;

@@ -23,7 +23,7 @@
 //! go through a temp file + rename so a crashed writer can't leave a
 //! half-written manifest that parses.
 
-use crate::cache::LutKey;
+use super::lru::LutKey;
 use localut::canonical::CanonicalLut;
 use localut::kernels::SharedLuts;
 use localut::plan::Placement;

@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cache;
 pub mod cachelife;
 mod error;
 pub mod request;
@@ -70,8 +69,7 @@ pub mod serve;
 pub mod sessions;
 pub mod traffic;
 
-pub use cache::{CacheOutcome, CacheStats, LutKey};
-pub use cachelife::memo::MemoStats;
+pub use cachelife::lru::{CacheOutcome, CacheStats, LutKey, MemoStats};
 pub use cachelife::store::StoreError;
 pub use error::{EngineError, FrameError, NetError, Rejection};
 pub use request::{BatchGemmRequest, GemmRequest, InferenceRequest, PlanPin};
@@ -83,8 +81,7 @@ pub use serve::{
 pub use sessions::{SessionPlans, SessionRequest, SessionResponse};
 pub use traffic::{Mix, TrafficConfig, TrafficRequest};
 
-use cache::LutCache;
-use cachelife::memo::{PlanKey, PlanMemo};
+use cachelife::lru::{LutCache, PlanKey, PlanMemo};
 use dnn::InferenceSim;
 use localut::kernels::{BankKernel, KernelSpec};
 use localut::plan::{ExecutionPlan, Planner};
@@ -93,7 +90,6 @@ use pim_sim::{DpuConfig, EnergyModel, Profile, Stats, SystemProfile};
 use quant::{BitConfig, NumericFormat};
 use runtime::{ParallelExecutor, ShardPlan};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How an engine shards GEMM requests across the machine by default.
 ///
@@ -309,7 +305,7 @@ impl EngineBuilder {
             cache,
             cache_dir: self.cache_dir,
             cache_restore_error,
-            plan_memo: PlanMemo::default(),
+            plan_memo: PlanMemo::new(),
         }
     }
 }
@@ -334,15 +330,6 @@ pub struct Engine {
     cache_dir: Option<PathBuf>,
     cache_restore_error: Option<StoreError>,
     plan_memo: PlanMemo,
-}
-
-/// Locks a mutex, **recovering** the data from a poisoned lock instead of
-/// propagating the panic — the crate-wide policy for serving state (the
-/// LUT cache, the scheduler queue/metrics/tickets): every critical
-/// section leaves the guarded state valid at each panic point, so one
-/// panicking worker must not wedge every other serving thread.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A kernel prepared for execution: built once, LUTs possibly from cache.

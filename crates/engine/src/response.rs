@@ -5,7 +5,7 @@
 //! ingest), and an FNV-1a fingerprint of functional output — two runs of
 //! one request, at any worker count, return identical responses.
 
-use crate::cache::CacheOutcome;
+use crate::cachelife::lru::CacheOutcome;
 use dnn::InferenceReport;
 use localut::{GemmDims, Method};
 use pim_sim::{Profile, Stats, SystemProfile};

@@ -81,11 +81,11 @@ use crate::sessions::{SessionJob, SessionRequest, SessionResponse, StepOutcome};
 // every panic point (completed responses are recorded atomically, queue
 // entries are whole jobs), so a worker that panicked while holding a lock
 // must not wedge every other client.
-use crate::cachelife::memo::MemoStats;
-use crate::lock_recover as lock;
+use crate::cachelife::lru::MemoStats;
 use crate::{BatchGemmRequest, CacheStats, Engine, EngineError, Rejection};
 use localut::Method;
 use pim_sim::Stats;
+use runtime::lock_recover as lock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -569,7 +569,7 @@ impl LatencyDigest {
 /// over the same request log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Successful requests served (GEMM + inference).
+    /// Successful requests served (GEMM + inference + sessions).
     pub requests: u64,
     /// Successful GEMM requests.
     pub gemm_requests: u64,

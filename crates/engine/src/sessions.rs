@@ -54,7 +54,7 @@
 //! # Ok::<(), engine::EngineError>(())
 //! ```
 
-use crate::cache::{CacheOutcome, LutKey};
+use crate::cachelife::lru::{CacheOutcome, LutKey};
 use crate::response::picojoules;
 use crate::{Engine, EngineError};
 use dnn::inference::InferenceReport;
@@ -303,7 +303,7 @@ impl Engine {
     /// across the engine's full DPU fleet. Purely analytic — no LUT
     /// image is built or cached (see [`Engine::warm_session`] for that),
     /// though repeated shapes return memoized plans
-    /// ([`crate::cachelife::memo`]; bitwise equal to a recompute).
+    /// ([`crate::cachelife::lru`]; bitwise equal to a recompute).
     ///
     /// # Errors
     ///

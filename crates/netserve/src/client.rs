@@ -18,18 +18,14 @@ use crate::wire::{
     self, WireCacheStats, WireGemmResponse, WireInferResponse, WireRequest, WireResponse,
     WireSessionResponse,
 };
-use engine::{
-    EngineError, GemmRequest, InferenceRequest, NetError, Rejection, ServeSummary, SessionRequest,
-};
+use engine::{EngineError, GemmRequest, InferenceRequest, NetError, ServeSummary, SessionRequest};
 use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// A connection to a [`crate::server::NetServer`].
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
-    max_payload: u32,
 }
 
 impl NetClient {
@@ -43,17 +39,7 @@ impl NetClient {
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::io("set nodelay", &e))?;
-        Ok(NetClient {
-            stream,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        })
-    }
-
-    /// Overrides the response payload cap (default 16 MiB).
-    #[must_use]
-    pub fn with_max_payload(mut self, max_payload: u32) -> Self {
-        self.max_payload = max_payload;
-        self
+        Ok(NetClient { stream })
     }
 
     /// Sends one request frame without waiting for the response
@@ -75,7 +61,7 @@ impl NetClient {
     /// unexpected close (`Io` with [`ErrorKind::UnexpectedEof`]) when the
     /// server hung up with responses still owed.
     pub fn recv(&mut self) -> Result<WireResponse, EngineError> {
-        match read_frame(&mut self.stream, self.max_payload)? {
+        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD)? {
             Some(payload) => Ok(wire::decode_response(&payload)?),
             None => Err(NetError::Io {
                 kind: ErrorKind::UnexpectedEof,
@@ -111,23 +97,6 @@ impl NetClient {
         }
     }
 
-    /// Executes one GEMM, retrying typed [`Rejection::QueueFull`]
-    /// backpressure with the server-suggested delay, up to `attempts`
-    /// tries total. Other outcomes (including other rejections) return
-    /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetClient::gemm`]; a final `QueueFull` after the last attempt
-    /// is returned as-is.
-    pub fn gemm_with_retry(
-        &mut self,
-        request: &GemmRequest,
-        attempts: u32,
-    ) -> Result<WireGemmResponse, EngineError> {
-        retry(attempts, |_| self.gemm(request))
-    }
-
     /// Executes one inference request remotely — the network twin of
     /// [`engine::Engine::infer`].
     ///
@@ -139,20 +108,6 @@ impl NetClient {
             WireResponse::Infer(i) => Ok(i),
             other => Err(unexpected(other, "infer")),
         }
-    }
-
-    /// Inference with the same `QueueFull` retry policy as
-    /// [`NetClient::gemm_with_retry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`NetClient::infer`].
-    pub fn infer_with_retry(
-        &mut self,
-        request: &InferenceRequest,
-        attempts: u32,
-    ) -> Result<WireInferResponse, EngineError> {
-        retry(attempts, |_| self.infer(request))
     }
 
     /// Runs one decoder session remotely — the network twin of
@@ -172,20 +127,6 @@ impl NetClient {
             WireResponse::Session(s) => Ok(s),
             other => Err(unexpected(other, "session")),
         }
-    }
-
-    /// Sessions with the same `QueueFull` retry policy as
-    /// [`NetClient::gemm_with_retry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`NetClient::session`].
-    pub fn session_with_retry(
-        &mut self,
-        request: &SessionRequest,
-        attempts: u32,
-    ) -> Result<WireSessionResponse, EngineError> {
-        retry(attempts, |_| self.session(request))
     }
 
     /// Liveness probe; returns how many requests this connection has had
@@ -229,25 +170,4 @@ fn unexpected(response: WireResponse, verb: &str) -> EngineError {
         WireResponse::Drained { .. } => "drained",
     };
     NetError::Protocol(format!("unexpected response to '{verb}': {kind}")).into()
-}
-
-/// Runs `attempt` up to `attempts` times, sleeping the server-suggested
-/// `retry_after_ms` between `QueueFull` rejections.
-fn retry<T>(
-    attempts: u32,
-    mut attempt: impl FnMut(u32) -> Result<T, EngineError>,
-) -> Result<T, EngineError> {
-    let attempts = attempts.max(1);
-    let mut tried = 0;
-    loop {
-        match attempt(tried) {
-            Err(EngineError::Rejected(Rejection::QueueFull { retry_after_ms, .. }))
-                if tried + 1 < attempts =>
-            {
-                std::thread::sleep(Duration::from_millis(retry_after_ms));
-                tried += 1;
-            }
-            other => return other,
-        }
-    }
 }

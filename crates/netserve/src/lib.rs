@@ -31,7 +31,7 @@
 //!   [`engine::ServeRecorder`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod client;
 pub mod frame;

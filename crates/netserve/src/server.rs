@@ -38,10 +38,8 @@
 use crate::frame::{write_frame, FramePoll, FrameReader, DEFAULT_MAX_PAYLOAD};
 use crate::wire::{self, WireRequest, WireResponse};
 use engine::serve::{ServeConfig, RETRY_AFTER_MS};
-use engine::{
-    Engine, EngineError, GemmResponse, InferenceResponse, NetError, Rejection, ServeReport, Server,
-    SessionResponse, Ticket,
-};
+use engine::{Engine, EngineError, NetError, Rejection, ServeReport, Server, Ticket};
+use runtime::lock_recover as lock;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -121,10 +119,6 @@ struct NetShared {
     log: Option<Mutex<BufWriter<File>>>,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl NetShared {
     fn log_line(&self, line: &str) {
         if let Some(log) = &self.log {
@@ -137,16 +131,20 @@ impl NetShared {
 
 /// What the writer thread owes the client, in request order.
 enum Reply {
-    /// An already-encoded immediate response (pong, rejection, error).
+    /// An immediate response (pong, rejection, error).
     Now(Box<WireResponse>),
-    /// A pending GEMM: log line to append once the ticket resolves
-    /// non-rejected, plus the ticket.
-    Gemm(String, Ticket<GemmResponse>),
-    /// A pending inference request, same contract.
-    Infer(String, Ticket<InferenceResponse>),
-    /// A pending decoder session (served with continuous batching), same
-    /// contract.
-    Session(String, Ticket<SessionResponse>),
+    /// A submitted request of any kind: the wait that resolves its ticket
+    /// into a response, and — when a request log is configured — the line
+    /// to append once it resolves non-rejected.
+    Pending(Option<String>, Box<dyn FnOnce() -> WireResponse + Send>),
+}
+
+/// Erases a ticket's response type: the writer only needs the wire form.
+fn pending<R: Send + 'static>(ticket: Ticket<R>) -> Box<dyn FnOnce() -> WireResponse + Send>
+where
+    for<'a> &'a R: Into<WireResponse>,
+{
+    Box::new(move || wire::result_response(&ticket.wait()))
 }
 
 /// The TCP serving front-end. Bind it, let clients hammer it, then
@@ -216,12 +214,6 @@ impl NetServer {
     /// requests; in-flight tickets keep executing.
     pub fn drain(&self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// True once a drain has begun (locally or via a client).
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.shared.stop.load(Ordering::Relaxed)
     }
 
     /// The deterministic summary so far (point-in-time).
@@ -392,14 +384,15 @@ fn handle_conn(shared: &Arc<NetShared>, stream: TcpStream) {
                     }
                 }
                 submitted += 1;
-                let line = wire::encode_request(&request);
-                let reply = match request {
-                    WireRequest::Gemm(r) => Reply::Gemm(line, shared.serve.submit_gemm(r)),
-                    WireRequest::Infer(r) => Reply::Infer(line, shared.serve.submit_infer(r)),
-                    WireRequest::Session(r) => Reply::Session(line, shared.serve.submit_session(r)),
+                // The log line is only worth encoding when a log exists.
+                let line = shared.log.is_some().then(|| wire::encode_request(&request));
+                let wait = match request {
+                    WireRequest::Gemm(r) => pending(shared.serve.submit_gemm(r)),
+                    WireRequest::Infer(r) => pending(shared.serve.submit_infer(r)),
+                    WireRequest::Session(r) => pending(shared.serve.submit_session(r)),
                     WireRequest::Ping | WireRequest::Drain => continue,
                 };
-                let _ = tx.send(reply);
+                let _ = tx.send(Reply::Pending(line, wait));
             }
         }
     }
@@ -417,26 +410,14 @@ fn writer_loop(shared: &Arc<NetShared>, mut stream: TcpStream, rx: &Receiver<Rep
     for reply in rx.iter() {
         let response = match reply {
             Reply::Now(response) => *response,
-            Reply::Gemm(line, ticket) => {
-                let result = ticket.wait();
-                if !matches!(result, Err(EngineError::Rejected(_))) {
+            Reply::Pending(line, wait) => {
+                let response = wait();
+                // A rejected ticket never ran, so it is never logged.
+                if let Some(line) = line.filter(|_| !matches!(response, WireResponse::Rejected(_)))
+                {
                     shared.log_line(&line);
                 }
-                wire::gemm_result_response(&result)
-            }
-            Reply::Infer(line, ticket) => {
-                let result = ticket.wait();
-                if !matches!(result, Err(EngineError::Rejected(_))) {
-                    shared.log_line(&line);
-                }
-                wire::infer_result_response(&result)
-            }
-            Reply::Session(line, ticket) => {
-                let result = ticket.wait();
-                if !matches!(result, Err(EngineError::Rejected(_))) {
-                    shared.log_line(&line);
-                }
-                wire::session_result_response(&result)
+                response
             }
         };
         if alive && write_frame(&mut stream, wire::encode_response(&response).as_bytes()).is_err() {

@@ -9,6 +9,13 @@
 //! lets the server's request log be both human-greppable and bitwise
 //! replayable.
 //!
+//! Every type that crosses the wire has exactly one description from
+//! which both directions are derived (the private `Codec` trait; plain
+//! structs are one line of the `record!` table, whose field names *are*
+//! the JSON keys), so a field cannot be encoded without being decoded;
+//! `tests/wire_golden.rs` pins the resulting bytes. DESIGN.md §7 has the
+//! contract and the recipe for adding a field.
+//!
 //! Every number that matters is integer-exact on the wire (`u128`
 //! femtoseconds and picojoules, `i32` GEMM values via [`Json::Int`]).
 //! The only floats are model seconds and quantization scales, written in
@@ -21,7 +28,7 @@
 //! panic or a silent default.
 
 use crate::json::Json;
-use dnn::{DecodeStep, ModelConfig, Workload};
+use dnn::{DecodeStep, InferenceReport, ModelConfig, Workload};
 use engine::serve::{gemm_latency_femtos, LatencyDigest};
 use engine::traffic::TrafficRequest;
 use engine::{
@@ -58,6 +65,18 @@ pub enum WireRequest {
     Drain,
 }
 
+/// A generated traffic request is already a wire request: the three
+/// executable kinds map one to one.
+impl From<TrafficRequest> for WireRequest {
+    fn from(request: TrafficRequest) -> Self {
+        match request {
+            TrafficRequest::Gemm(r) => WireRequest::Gemm(r),
+            TrafficRequest::Infer(r) => WireRequest::Infer(r),
+            TrafficRequest::Session(r) => WireRequest::Session(r),
+        }
+    }
+}
+
 /// The GEMM response fields that cross the wire: everything deterministic
 /// from [`GemmResponse`] plus the request's serving latency (which a
 /// remote client cannot derive — it lives in the per-bank profiles that
@@ -82,23 +101,6 @@ pub struct WireGemmResponse {
     pub lut_cache: Option<CacheOutcome>,
 }
 
-impl WireGemmResponse {
-    /// Projects a server-side response onto the wire.
-    #[must_use]
-    pub fn from_response(r: &GemmResponse) -> Self {
-        WireGemmResponse {
-            values: r.values.clone(),
-            dims: r.dims,
-            method: r.method,
-            stats: r.stats.clone(),
-            energy_pj: r.energy_pj,
-            checksum: r.checksum,
-            latency_femtos: gemm_latency_femtos(r),
-            lut_cache: r.lut_cache,
-        }
-    }
-}
-
 /// The inference response fields that cross the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireInferResponse {
@@ -110,23 +112,6 @@ pub struct WireInferResponse {
     pub energy_pj: u128,
     /// The method that executed.
     pub method: Method,
-}
-
-impl WireInferResponse {
-    /// Projects a server-side response onto the wire.
-    #[must_use]
-    pub fn from_response(r: &InferenceResponse) -> Self {
-        WireInferResponse {
-            reports: r
-                .reports
-                .iter()
-                .map(|rep| (rep.prefill_seconds, rep.decode_seconds))
-                .collect(),
-            stats: r.stats.clone(),
-            energy_pj: r.energy_pj,
-            method: r.method,
-        }
-    }
 }
 
 /// The session response fields that cross the wire: the deterministic
@@ -148,22 +133,52 @@ pub struct WireSessionResponse {
     pub decode_step_femtos: Vec<u128>,
 }
 
-impl WireSessionResponse {
-    /// Projects a server-side response onto the wire.
-    #[must_use]
-    pub fn from_response(r: &SessionResponse) -> Self {
-        WireSessionResponse {
-            reports: r
-                .reports
-                .iter()
-                .map(|rep| (rep.prefill_seconds, rep.decode_seconds))
-                .collect(),
+fn phase_seconds(reports: &[InferenceReport]) -> Vec<(f64, f64)> {
+    reports
+        .iter()
+        .map(|rep| (rep.prefill_seconds, rep.decode_seconds))
+        .collect()
+}
+
+/// Projects a served GEMM onto the wire.
+impl From<&GemmResponse> for WireResponse {
+    fn from(r: &GemmResponse) -> Self {
+        WireResponse::Gemm(WireGemmResponse {
+            values: r.values.clone(),
+            dims: r.dims,
+            method: r.method,
+            stats: r.stats.clone(),
+            energy_pj: r.energy_pj,
+            checksum: r.checksum,
+            latency_femtos: gemm_latency_femtos(r),
+            lut_cache: r.lut_cache,
+        })
+    }
+}
+
+/// Projects a served inference request onto the wire.
+impl From<&InferenceResponse> for WireResponse {
+    fn from(r: &InferenceResponse) -> Self {
+        WireResponse::Infer(WireInferResponse {
+            reports: phase_seconds(&r.reports),
+            stats: r.stats.clone(),
+            energy_pj: r.energy_pj,
+            method: r.method,
+        })
+    }
+}
+
+/// Projects a completed session onto the wire.
+impl From<&SessionResponse> for WireResponse {
+    fn from(r: &SessionResponse) -> Self {
+        WireResponse::Session(WireSessionResponse {
+            reports: phase_seconds(&r.reports),
             stats: r.stats.clone(),
             energy_pj: r.energy_pj,
             method: r.method,
             ttft_femtos: r.ttft_femtos,
             decode_step_femtos: r.decode_step_femtos.clone(),
-        }
+        })
     }
 }
 
@@ -237,31 +252,15 @@ pub fn record_response(recorder: &mut ServeRecorder, response: &WireResponse) {
     }
 }
 
-/// Wraps a served GEMM result as the wire response the client expects.
+/// Wraps a served result of any kind (GEMM, inference, session) as the
+/// wire response the client expects.
 #[must_use]
-pub fn gemm_result_response(result: &Result<GemmResponse, EngineError>) -> WireResponse {
+pub fn result_response<R>(result: &Result<R, EngineError>) -> WireResponse
+where
+    for<'a> &'a R: Into<WireResponse>,
+{
     match result {
-        Ok(r) => WireResponse::Gemm(WireGemmResponse::from_response(r)),
-        Err(e) => error_response(e),
-    }
-}
-
-/// Wraps a served inference result as the wire response the client
-/// expects.
-#[must_use]
-pub fn infer_result_response(result: &Result<InferenceResponse, EngineError>) -> WireResponse {
-    match result {
-        Ok(r) => WireResponse::Infer(WireInferResponse::from_response(r)),
-        Err(e) => error_response(e),
-    }
-}
-
-/// Wraps a served session result as the wire response the client
-/// expects.
-#[must_use]
-pub fn session_result_response(result: &Result<SessionResponse, EngineError>) -> WireResponse {
-    match result {
-        Ok(r) => WireResponse::Session(WireSessionResponse::from_response(r)),
+        Ok(r) => r.into(),
         Err(e) => error_response(e),
     }
 }
@@ -293,344 +292,32 @@ fn error_kind(error: &EngineError) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
+// The codec: one description per type, both directions derived from it.
 
-fn u<T: Into<u128>>(v: T) -> Json {
-    Json::UInt(v.into())
+/// The `(key, value)` pairs of an object under construction.
+type Pairs = Vec<(&'static str, Json)>;
+
+/// A value with one JSON form. Writing and reading live in one impl, so
+/// neither direction can change alone. `what` is the field key the value
+/// sits under, for decode errors.
+trait Codec: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError>;
 }
 
-fn signed(v: i128) -> Json {
-    if v < 0 {
-        Json::Int(v)
-    } else {
-        Json::UInt(v as u128)
-    }
+/// A keyed slot of an object: required for every [`Codec`] value, and for
+/// `Option<T>` an absent key (never `null`) in both directions.
+trait Field: Sized {
+    fn put(&self, key: &'static str, pairs: &mut Pairs);
+    fn get(obj: &Json, key: &str) -> Result<Self, NetError>;
 }
 
-fn format_token(f: NumericFormat) -> String {
-    match f {
-        NumericFormat::Int(b) => format!("int{b}"),
-        NumericFormat::Uint(b) => format!("uint{b}"),
-        NumericFormat::Bipolar => "bipolar".to_owned(),
-        NumericFormat::Fp4 => "fp4".to_owned(),
-        NumericFormat::Fp8 => "fp8".to_owned(),
-        NumericFormat::Fp16 => "fp16".to_owned(),
-    }
+/// An object of [`Field`]s. Its pairs stay reachable so the `v`/`kind`
+/// envelope can sit beside them in the same object.
+trait Record: Sized {
+    fn pairs(&self) -> Pairs;
+    fn from_object(obj: &Json) -> Result<Self, NetError>;
 }
-
-fn qmatrix_json(m: &QMatrix) -> Json {
-    Json::object(vec![
-        ("rows", u(m.rows() as u64)),
-        ("cols", u(m.cols() as u64)),
-        ("format", Json::Str(format_token(m.format()))),
-        ("scale", Json::Float(f64::from(m.scale()))),
-        (
-            "codes",
-            Json::Array(m.codes().iter().map(|&c| u(c)).collect()),
-        ),
-    ])
-}
-
-fn stats_json(stats: &Stats) -> Json {
-    let snap = stats.snapshot();
-    Json::object(vec![
-        ("banks", u(snap.banks)),
-        (
-            "category_femtos",
-            Json::Object(
-                snap.category_femtos
-                    .iter()
-                    .map(|&(c, f)| (c.label().to_owned(), Json::UInt(f)))
-                    .collect(),
-            ),
-        ),
-        ("dram_read_bytes", Json::UInt(snap.dram_read_bytes)),
-        ("dram_write_bytes", Json::UInt(snap.dram_write_bytes)),
-        ("wram_accesses", Json::UInt(snap.wram_accesses)),
-        ("instructions", Json::UInt(snap.instructions)),
-        ("host_bytes", Json::UInt(snap.host_bytes)),
-        ("host_ops", Json::UInt(snap.host_ops)),
-    ])
-}
-
-fn digest_json(digest: &LatencyDigest) -> Json {
-    Json::object(vec![
-        ("p50", Json::UInt(digest.p50)),
-        ("p95", Json::UInt(digest.p95)),
-        ("p99", Json::UInt(digest.p99)),
-        ("max", Json::UInt(digest.max)),
-        ("total", Json::UInt(digest.total)),
-    ])
-}
-
-/// The canonical JSON form of a [`ServeSummary`] (used by the drain
-/// response, the daemon's `--out` file, and the multi-process tests).
-#[must_use]
-pub fn summary_json(summary: &ServeSummary) -> Json {
-    Json::object(vec![
-        ("requests", u(summary.requests)),
-        ("gemm_requests", u(summary.gemm_requests)),
-        ("infer_requests", u(summary.infer_requests)),
-        ("session_requests", u(summary.session_requests)),
-        ("decode_steps", u(summary.decode_steps)),
-        ("failed_requests", u(summary.failed_requests)),
-        ("stats", stats_json(&summary.stats)),
-        ("energy_pj", Json::UInt(summary.energy_pj)),
-        ("latency", digest_json(&summary.latency)),
-        ("ttft", digest_json(&summary.ttft)),
-        ("decode", digest_json(&summary.decode)),
-        ("checksum", u(summary.checksum)),
-    ])
-}
-
-/// The canonical JSON form of the cache counters piggybacked on a drain
-/// ack. Kept separate from [`summary_json`] so deterministic summary
-/// files never embed host-varying counters.
-#[must_use]
-pub fn cache_stats_json(cache: &WireCacheStats) -> Json {
-    Json::object(vec![
-        ("lut_hits", u(cache.lut.hits)),
-        ("lut_misses", u(cache.lut.misses)),
-        ("lut_evictions", u(cache.lut.evictions)),
-        ("lut_resident_bytes", u(cache.lut.resident_bytes)),
-        ("lut_failed_builds", u(cache.lut.failed_builds)),
-        ("lut_restored", u(cache.lut.restored)),
-        ("lut_entries", u(cache.lut.entries as u64)),
-        ("memo_hits", u(cache.memo.hits)),
-        ("memo_misses", u(cache.memo.misses)),
-        ("memo_entries", u(cache.memo.entries as u64)),
-    ])
-}
-
-fn cache_stats_from_json(value: &Json) -> Result<WireCacheStats, NetError> {
-    Ok(WireCacheStats {
-        lut: CacheStats {
-            hits: u64_field(value, "lut_hits")?,
-            misses: u64_field(value, "lut_misses")?,
-            evictions: u64_field(value, "lut_evictions")?,
-            resident_bytes: u64_field(value, "lut_resident_bytes")?,
-            failed_builds: u64_field(value, "lut_failed_builds")?,
-            restored: u64_field(value, "lut_restored")?,
-            entries: u64_field(value, "lut_entries")? as usize,
-        },
-        memo: MemoStats {
-            hits: u64_field(value, "memo_hits")?,
-            misses: u64_field(value, "memo_misses")?,
-            entries: u64_field(value, "memo_entries")? as usize,
-        },
-    })
-}
-
-fn workload_json(w: &Workload) -> Json {
-    let mut pairs = vec![
-        ("model", Json::Str(w.model.name.into())),
-        ("batch", u(w.batch as u64)),
-        ("decode_tokens", u(w.decode_tokens)),
-    ];
-    if let Some(step) = w.step {
-        pairs.push(("context", u(step.context as u64)));
-    }
-    Json::object(pairs)
-}
-
-fn request_json(request: &WireRequest) -> Json {
-    let mut pairs: Vec<(&str, Json)> = vec![("v", Json::UInt(WIRE_VERSION))];
-    match request {
-        WireRequest::Gemm(r) => {
-            pairs.push(("kind", Json::Str("gemm".into())));
-            pairs.push(("w", qmatrix_json(&r.w)));
-            pairs.push(("a", qmatrix_json(&r.a)));
-            if let Some(m) = r.method {
-                pairs.push(("method", Json::Str(m.flag_name().into())));
-            }
-            if let Some(b) = r.banks {
-                pairs.push(("banks", u(b)));
-            }
-            if let Some(pin) = r.pin {
-                pairs.push((
-                    "pin",
-                    Json::object(vec![
-                        ("placement", Json::Str(pin.placement.to_string())),
-                        ("p", u(pin.p)),
-                    ]),
-                ));
-            }
-        }
-        WireRequest::Infer(r) => {
-            pairs.push(("kind", Json::Str("infer".into())));
-            pairs.push((
-                "workloads",
-                Json::Array(r.workloads.iter().map(workload_json).collect()),
-            ));
-            if let Some(m) = r.method {
-                pairs.push(("method", Json::Str(m.flag_name().into())));
-            }
-            if let Some(bits) = r.bits {
-                pairs.push(("bits", Json::Str(bits.to_string())));
-            }
-        }
-        WireRequest::Session(r) => {
-            pairs.push(("kind", Json::Str("session".into())));
-            pairs.push(("workload", workload_json(&r.workload)));
-            if let Some(m) = r.method {
-                pairs.push(("method", Json::Str(m.flag_name().into())));
-            }
-            if let Some(bits) = r.bits {
-                pairs.push(("bits", Json::Str(bits.to_string())));
-            }
-        }
-        WireRequest::Ping => pairs.push(("kind", Json::Str("ping".into()))),
-        WireRequest::Drain => pairs.push(("kind", Json::Str("drain".into()))),
-    }
-    Json::object(pairs)
-}
-
-fn rejection_json(rejection: &Rejection) -> Vec<(&'static str, Json)> {
-    match *rejection {
-        Rejection::QueueFull {
-            capacity,
-            retry_after_ms,
-        } => vec![
-            ("reason", Json::Str("queue-full".into())),
-            ("capacity", u(capacity as u64)),
-            ("retry_after_ms", u(retry_after_ms)),
-        ],
-        Rejection::QuotaExhausted { limit } => vec![
-            ("reason", Json::Str("quota-exhausted".into())),
-            ("limit", u(limit)),
-        ],
-        Rejection::Draining => vec![("reason", Json::Str("draining".into()))],
-    }
-}
-
-fn response_json(response: &WireResponse) -> Json {
-    let mut pairs: Vec<(&str, Json)> = vec![("v", Json::UInt(WIRE_VERSION))];
-    match response {
-        WireResponse::Gemm(g) => {
-            pairs.push(("kind", Json::Str("gemm".into())));
-            pairs.push((
-                "values",
-                Json::Array(g.values.iter().map(|&v| signed(i128::from(v))).collect()),
-            ));
-            pairs.push((
-                "dims",
-                Json::object(vec![
-                    ("m", u(g.dims.m as u64)),
-                    ("k", u(g.dims.k as u64)),
-                    ("n", u(g.dims.n as u64)),
-                ]),
-            ));
-            pairs.push(("method", Json::Str(g.method.flag_name().into())));
-            pairs.push(("stats", stats_json(&g.stats)));
-            pairs.push(("energy_pj", Json::UInt(g.energy_pj)));
-            pairs.push(("checksum", u(g.checksum)));
-            pairs.push(("latency_femtos", Json::UInt(g.latency_femtos)));
-            if let Some(outcome) = g.lut_cache {
-                pairs.push((
-                    "lut_cache",
-                    Json::Str(
-                        match outcome {
-                            CacheOutcome::Hit => "hit",
-                            CacheOutcome::Miss => "miss",
-                        }
-                        .into(),
-                    ),
-                ));
-            }
-        }
-        WireResponse::Infer(i) => {
-            pairs.push(("kind", Json::Str("infer".into())));
-            pairs.push((
-                "reports",
-                Json::Array(
-                    i.reports
-                        .iter()
-                        .map(|&(prefill, decode)| {
-                            Json::object(vec![
-                                ("prefill_seconds", Json::Float(prefill)),
-                                ("decode_seconds", Json::Float(decode)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            pairs.push(("stats", stats_json(&i.stats)));
-            pairs.push(("energy_pj", Json::UInt(i.energy_pj)));
-            pairs.push(("method", Json::Str(i.method.flag_name().into())));
-        }
-        WireResponse::Session(s) => {
-            pairs.push(("kind", Json::Str("session".into())));
-            pairs.push((
-                "reports",
-                Json::Array(
-                    s.reports
-                        .iter()
-                        .map(|&(prefill, decode)| {
-                            Json::object(vec![
-                                ("prefill_seconds", Json::Float(prefill)),
-                                ("decode_seconds", Json::Float(decode)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            pairs.push(("stats", stats_json(&s.stats)));
-            pairs.push(("energy_pj", Json::UInt(s.energy_pj)));
-            pairs.push(("method", Json::Str(s.method.flag_name().into())));
-            pairs.push(("ttft_femtos", Json::UInt(s.ttft_femtos)));
-            pairs.push((
-                "decode_step_femtos",
-                Json::Array(
-                    s.decode_step_femtos
-                        .iter()
-                        .map(|&f| Json::UInt(f))
-                        .collect(),
-                ),
-            ));
-        }
-        WireResponse::Rejected(r) => {
-            pairs.push(("kind", Json::Str("rejected".into())));
-            pairs.extend(rejection_json(r));
-        }
-        WireResponse::Error { kind, message } => {
-            pairs.push(("kind", Json::Str("error".into())));
-            pairs.push(("error_kind", Json::Str(kind.clone())));
-            pairs.push(("message", Json::Str(message.clone())));
-        }
-        WireResponse::Pong { served } => {
-            pairs.push(("kind", Json::Str("pong".into())));
-            pairs.push(("served", u(*served)));
-        }
-        WireResponse::Drained { summary, cache } => {
-            pairs.push(("kind", Json::Str("drained".into())));
-            pairs.push(("summary", summary_json(summary)));
-            if let Some(cache) = cache {
-                pairs.push(("cache", cache_stats_json(cache)));
-            }
-        }
-    }
-    Json::object(pairs)
-}
-
-/// Encodes a request as its canonical compact payload — the exact bytes
-/// framed onto the wire and the exact line the server's request log
-/// stores.
-#[must_use]
-pub fn encode_request(request: &WireRequest) -> String {
-    request_json(request).to_compact()
-}
-
-/// Encodes a response as its canonical compact payload.
-#[must_use]
-pub fn encode_response(response: &WireResponse) -> String {
-    response_json(response).to_compact()
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
 
 fn decode_err(what: impl Into<String>) -> NetError {
     NetError::Decode(what.into())
@@ -641,122 +328,409 @@ fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, NetError> {
         .ok_or_else(|| decode_err(format!("missing field '{key}'")))
 }
 
-fn uint_field(obj: &Json, key: &str) -> Result<u128, NetError> {
-    field(obj, key)?
-        .as_uint()
-        .ok_or_else(|| decode_err(format!("field '{key}' must be a non-negative integer")))
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, NetError> {
-    u64::try_from(uint_field(obj, key)?)
-        .map_err(|_| decode_err(format!("field '{key}' overflows u64")))
-}
-
-fn usize_field(obj: &Json, key: &str) -> Result<usize, NetError> {
-    usize::try_from(uint_field(obj, key)?)
-        .map_err(|_| decode_err(format!("field '{key}' overflows usize")))
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, NetError> {
-    field(obj, key)?
+fn token<'a>(value: &'a Json, what: &str) -> Result<&'a str, NetError> {
+    value
         .as_str()
-        .ok_or_else(|| decode_err(format!("field '{key}' must be a string")))
+        .ok_or_else(|| decode_err(format!("field '{what}' must be a string")))
 }
 
-fn array_field<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], NetError> {
-    field(obj, key)?
-        .as_array()
-        .ok_or_else(|| decode_err(format!("field '{key}' must be an array")))
+fn text(s: &str) -> Json {
+    Json::Str(s.to_owned())
 }
 
-fn float_field(obj: &Json, key: &str) -> Result<f64, NetError> {
-    match field(obj, key)? {
-        Json::Float(v) => Ok(*v),
-        Json::UInt(v) => Ok(*v as f64),
-        Json::Int(v) => Ok(*v as f64),
-        _ => Err(decode_err(format!("field '{key}' must be a number"))),
+fn array<T: Codec>(items: &[T]) -> Json {
+    Json::Array(items.iter().map(Codec::to_json).collect())
+}
+
+impl<T: Codec> Field for T {
+    fn put(&self, key: &'static str, pairs: &mut Pairs) {
+        pairs.push((key, self.to_json()));
+    }
+    fn get(obj: &Json, key: &str) -> Result<Self, NetError> {
+        T::from_json(field(obj, key)?, key)
     }
 }
 
-fn parse_payload(payload: &[u8]) -> Result<Json, NetError> {
-    let text = std::str::from_utf8(payload).map_err(|_| decode_err("payload is not UTF-8"))?;
-    let value = Json::parse(text).map_err(|e| decode_err(format!("payload is not JSON: {e}")))?;
-    let v = uint_field(&value, "v")?;
-    if v != WIRE_VERSION {
-        return Err(decode_err(format!(
-            "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
-        )));
+impl<T: Codec> Field for Option<T> {
+    fn put(&self, key: &'static str, pairs: &mut Pairs) {
+        if let Some(value) = self {
+            value.put(key, pairs);
+        }
     }
-    Ok(value)
-}
-
-fn format_from_token(token: &str) -> Result<NumericFormat, NetError> {
-    let bits = |prefix: &str, lo: u8, hi: u8| -> Result<u8, NetError> {
-        token[prefix.len()..]
-            .parse::<u8>()
-            .ok()
-            .filter(|b| (lo..=hi).contains(b))
-            .ok_or_else(|| decode_err(format!("bad numeric format '{token}'")))
-    };
-    match token {
-        "bipolar" => Ok(NumericFormat::Bipolar),
-        "fp4" => Ok(NumericFormat::Fp4),
-        "fp8" => Ok(NumericFormat::Fp8),
-        "fp16" => Ok(NumericFormat::Fp16),
-        t if t.starts_with("uint") => Ok(NumericFormat::Uint(bits("uint", 1, 16)?)),
-        t if t.starts_with("int") => Ok(NumericFormat::Int(bits("int", 2, 16)?)),
-        t => Err(decode_err(format!("unknown numeric format '{t}'"))),
+    fn get(obj: &Json, key: &str) -> Result<Self, NetError> {
+        obj.get(key).map(|v| T::from_json(v, key)).transpose()
     }
 }
 
-fn qmatrix_from_json(value: &Json, which: &str) -> Result<QMatrix, NetError> {
-    let rows = usize_field(value, "rows")?;
-    let cols = usize_field(value, "cols")?;
-    let format = format_from_token(str_field(value, "format")?)?;
-    let scale = float_field(value, "scale")? as f32;
-    let codes = array_field(value, "codes")?
-        .iter()
-        .map(|c| {
-            c.as_uint()
-                .and_then(|v| u16::try_from(v).ok())
-                .ok_or_else(|| decode_err(format!("matrix '{which}': codes must be u16")))
-        })
-        .collect::<Result<Vec<u16>, NetError>>()?;
-    QMatrix::from_codes(codes, rows, cols, format, scale)
-        .map_err(|e| decode_err(format!("matrix '{which}' is invalid: {e}")))
+impl<T: Record> Codec for T {
+    fn to_json(&self) -> Json {
+        Json::object(self.pairs())
+    }
+    fn from_json(value: &Json, _what: &str) -> Result<Self, NetError> {
+        T::from_object(value)
+    }
 }
 
-fn method_from_token(token: &str) -> Result<Method, NetError> {
-    token.parse::<Method>().map_err(decode_err)
+macro_rules! int_codec {
+    ($($ty:ident)+) => {$(
+        impl Codec for $ty {
+            fn to_json(&self) -> Json {
+                match u128::try_from(*self) {
+                    Ok(v) => Json::UInt(v),
+                    Err(_) => Json::Int(*self as i128),
+                }
+            }
+            fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+                match value {
+                    Json::UInt(v) => $ty::try_from(*v).ok(),
+                    Json::Int(v) => $ty::try_from(*v).ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| decode_err(format!("field '{what}' must be a {}", stringify!($ty))))
+            }
+        }
+    )+};
 }
 
-fn stats_from_json(value: &Json) -> Result<Stats, NetError> {
-    let categories = match field(value, "category_femtos")? {
-        Json::Object(map) => map
+int_codec!(u128 u64 u32 u16 usize i32);
+
+impl Codec for f64 {
+    fn to_json(&self) -> Json {
+        Json::Float(*self)
+    }
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+        match value {
+            Json::Float(v) => Ok(*v),
+            Json::UInt(v) => Ok(*v as f64),
+            Json::Int(v) => Ok(*v as f64),
+            _ => Err(decode_err(format!("field '{what}' must be a number"))),
+        }
+    }
+}
+
+impl Codec for String {
+    fn to_json(&self) -> Json {
+        text(self)
+    }
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+        token(value, what).map(str::to_owned)
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn to_json(&self) -> Json {
+        array(self)
+    }
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+        value
+            .as_array()
+            .ok_or_else(|| decode_err(format!("field '{what}' must be an array")))?
+            .iter()
+            .map(|item| T::from_json(item, what))
+            .collect()
+    }
+}
+
+impl Codec for BitConfig {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+        let token = token(value, what)?;
+        token
+            .parse()
+            .map_err(|e| decode_err(format!("bad bit config '{token}': {e}")))
+    }
+}
+
+/// String tokens: parsing is derived from rendering — the token is looked
+/// up among every value the type can take, so the two directions cannot
+/// drift and each range is stated once.
+macro_rules! token_codec {
+    ($($ty:ty, $what:literal: $all:expr => $render:expr;)+) => {$(
+        impl Codec for $ty {
+            fn to_json(&self) -> Json {
+                Json::Str($render(self))
+            }
+            fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+                let token = token(value, what)?;
+                $all.into_iter()
+                    .find(|candidate| $render(candidate) == token)
+                    .ok_or_else(|| decode_err(format!("unknown {} '{token}'", $what)))
+            }
+        }
+    )+};
+}
+
+token_codec! {
+    Method, "method": Method::ALL => |m: &Method| m.flag_name().to_owned();
+    Placement, "placement": [Placement::BufferResident, Placement::Streaming]
+        => Placement::to_string;
+    CacheOutcome, "cache outcome": [CacheOutcome::Hit, CacheOutcome::Miss]
+        => |o: &CacheOutcome| match o {
+            CacheOutcome::Hit => "hit".to_owned(),
+            CacheOutcome::Miss => "miss".to_owned(),
+        };
+    // Models travel by name; only the paper's three are known.
+    ModelConfig, "model": ModelConfig::paper_models() => |m: &ModelConfig| m.name.to_owned();
+    NumericFormat, "numeric format": [
+            NumericFormat::Bipolar,
+            NumericFormat::Fp4,
+            NumericFormat::Fp8,
+            NumericFormat::Fp16,
+        ]
+        .into_iter()
+        .chain((2..=16).map(NumericFormat::Int))
+        .chain((1..=16).map(NumericFormat::Uint))
+        => |f: &NumericFormat| match f {
+            NumericFormat::Int(b) => format!("int{b}"),
+            NumericFormat::Uint(b) => format!("uint{b}"),
+            NumericFormat::Bipolar => "bipolar".to_owned(),
+            NumericFormat::Fp4 => "fp4".to_owned(),
+            NumericFormat::Fp8 => "fp8".to_owned(),
+            NumericFormat::Fp16 => "fp16".to_owned(),
+        };
+}
+
+// The field tables: a struct's field names are its JSON keys, and the
+// struct literal in `from_object` makes a field missing from its line a
+// compile error.
+
+macro_rules! record {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Record for $ty {
+            fn pairs(&self) -> Pairs {
+                let mut pairs = Pairs::new();
+                $(self.$field.put(stringify!($field), &mut pairs);)+
+                pairs
+            }
+            fn from_object(obj: &Json) -> Result<Self, NetError> {
+                Ok($ty { $($field: Field::get(obj, stringify!($field))?),+ })
+            }
+        }
+    )+};
+}
+
+record! {
+    LatencyDigest { p50, p95, p99, max, total }
+    ServeSummary {
+        requests, gemm_requests, infer_requests, session_requests, decode_steps,
+        failed_requests, stats, energy_pj, latency, ttft, decode, checksum
+    }
+    GemmDims { m, k, n }
+    PlanPin { placement, p }
+    GemmRequest { w, a, method, banks, pin }
+    InferenceRequest { workloads, method, bits }
+    SessionRequest { workload, method, bits }
+    WireGemmResponse {
+        values, dims, method, stats, energy_pj, checksum, latency_femtos, lut_cache
+    }
+    WireInferResponse { reports, stats, energy_pj, method }
+    WireSessionResponse { reports, stats, energy_pj, method, ttft_femtos, decode_step_femtos }
+}
+
+// The irregular shapes: one hand-written impl each.
+
+/// One report's `(prefill_seconds, decode_seconds)`.
+impl Codec for (f64, f64) {
+    fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("prefill_seconds", self.0.to_json()),
+            ("decode_seconds", self.1.to_json()),
+        ])
+    }
+    fn from_json(value: &Json, _what: &str) -> Result<Self, NetError> {
+        Ok((
+            Field::get(value, "prefill_seconds")?,
+            Field::get(value, "decode_seconds")?,
+        ))
+    }
+}
+
+/// Decoded through [`QMatrix::from_codes`], so a peer cannot smuggle in a
+/// shape/code mismatch or an out-of-range code.
+impl Codec for QMatrix {
+    fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("rows", self.rows().to_json()),
+            ("cols", self.cols().to_json()),
+            ("format", self.format().to_json()),
+            ("scale", f64::from(self.scale()).to_json()),
+            ("codes", array(self.codes())),
+        ])
+    }
+    fn from_json(value: &Json, what: &str) -> Result<Self, NetError> {
+        QMatrix::from_codes(
+            Field::get(value, "codes")?,
+            Field::get(value, "rows")?,
+            Field::get(value, "cols")?,
+            Field::get(value, "format")?,
+            f64::get(value, "scale")? as f32,
+        )
+        .map_err(|e| decode_err(format!("matrix '{what}' is invalid: {e}")))
+    }
+}
+
+/// Travels as its [`CounterSnapshot`]: per-category femtoseconds keyed by
+/// label (zero categories omitted), counters flat beside them.
+impl Codec for Stats {
+    fn to_json(&self) -> Json {
+        let snap = self.snapshot();
+        let categories = snap
+            .category_femtos
+            .iter()
+            .map(|&(c, f)| (c.label().to_owned(), f.to_json()))
+            .collect();
+        Json::object(vec![
+            ("banks", snap.banks.to_json()),
+            ("category_femtos", Json::Object(categories)),
+            ("dram_read_bytes", snap.dram_read_bytes.to_json()),
+            ("dram_write_bytes", snap.dram_write_bytes.to_json()),
+            ("wram_accesses", snap.wram_accesses.to_json()),
+            ("instructions", snap.instructions.to_json()),
+            ("host_bytes", snap.host_bytes.to_json()),
+            ("host_ops", snap.host_ops.to_json()),
+        ])
+    }
+    fn from_json(value: &Json, _what: &str) -> Result<Self, NetError> {
+        let Json::Object(categories) = field(value, "category_femtos")? else {
+            return Err(decode_err("field 'category_femtos' must be an object"));
+        };
+        let category_femtos = categories
             .iter()
             .map(|(label, femtos)| {
                 let category = Category::from_label(label)
                     .ok_or_else(|| decode_err(format!("unknown cost category '{label}'")))?;
-                let femtos = femtos
-                    .as_uint()
-                    .ok_or_else(|| decode_err("category femtos must be integers"))?;
-                Ok((category, femtos))
+                Ok((category, u128::from_json(femtos, "category_femtos")?))
             })
-            .collect::<Result<Vec<(Category, u128)>, NetError>>()?,
-        _ => return Err(decode_err("field 'category_femtos' must be an object")),
-    };
-    let snap = CounterSnapshot {
-        banks: u64_field(value, "banks")?,
-        total_femtos: categories.iter().map(|&(_, f)| f).sum(),
-        category_femtos: categories,
-        dram_read_bytes: uint_field(value, "dram_read_bytes")?,
-        dram_write_bytes: uint_field(value, "dram_write_bytes")?,
-        wram_accesses: uint_field(value, "wram_accesses")?,
-        instructions: uint_field(value, "instructions")?,
-        host_bytes: uint_field(value, "host_bytes")?,
-        host_ops: uint_field(value, "host_ops")?,
-    };
-    Ok(Stats::from_snapshot(&snap))
+            .collect::<Result<Vec<(Category, u128)>, NetError>>()?;
+        // Peer-supplied u128s: the total must not wrap (or panic a debug
+        // build) on a hostile or corrupt payload.
+        let total_femtos = category_femtos
+            .iter()
+            .try_fold(0u128, |sum, &(_, f)| sum.checked_add(f))
+            .ok_or_else(|| decode_err("field 'category_femtos' sums past u128"))?;
+        Ok(Stats::from_snapshot(&CounterSnapshot {
+            banks: Field::get(value, "banks")?,
+            total_femtos,
+            category_femtos,
+            dram_read_bytes: Field::get(value, "dram_read_bytes")?,
+            dram_write_bytes: Field::get(value, "dram_write_bytes")?,
+            wram_accesses: Field::get(value, "wram_accesses")?,
+            instructions: Field::get(value, "instructions")?,
+            host_bytes: Field::get(value, "host_bytes")?,
+            host_ops: Field::get(value, "host_ops")?,
+        }))
+    }
+}
+
+/// A mid-session decode step carries its KV context as the optional
+/// `context` key; monolithic workloads omit it.
+impl Codec for Workload {
+    fn to_json(&self) -> Json {
+        let mut pairs = Pairs::new();
+        self.model.put("model", &mut pairs);
+        self.batch.put("batch", &mut pairs);
+        self.decode_tokens.put("decode_tokens", &mut pairs);
+        self.step.map(|s| s.context).put("context", &mut pairs);
+        Json::object(pairs)
+    }
+    fn from_json(value: &Json, _what: &str) -> Result<Self, NetError> {
+        Ok(Workload {
+            model: Field::get(value, "model")?,
+            batch: Field::get(value, "batch")?,
+            decode_tokens: Field::get(value, "decode_tokens")?,
+            step: Option::<usize>::get(value, "context")?.map(|context| DecodeStep { context }),
+        })
+    }
+}
+
+/// Tagged by `reason`; the variant's fields sit flat beside the tag.
+impl Record for Rejection {
+    fn pairs(&self) -> Pairs {
+        match *self {
+            Rejection::QueueFull {
+                capacity,
+                retry_after_ms,
+            } => vec![
+                ("reason", text("queue-full")),
+                ("capacity", capacity.to_json()),
+                ("retry_after_ms", retry_after_ms.to_json()),
+            ],
+            Rejection::QuotaExhausted { limit } => vec![
+                ("reason", text("quota-exhausted")),
+                ("limit", limit.to_json()),
+            ],
+            Rejection::Draining => vec![("reason", text("draining"))],
+        }
+    }
+    fn from_object(obj: &Json) -> Result<Self, NetError> {
+        match token(field(obj, "reason")?, "reason")? {
+            "queue-full" => Ok(Rejection::QueueFull {
+                capacity: Field::get(obj, "capacity")?,
+                retry_after_ms: Field::get(obj, "retry_after_ms")?,
+            }),
+            "quota-exhausted" => Ok(Rejection::QuotaExhausted {
+                limit: Field::get(obj, "limit")?,
+            }),
+            "draining" => Ok(Rejection::Draining),
+            other => Err(decode_err(format!("unknown rejection reason '{other}'"))),
+        }
+    }
+}
+
+/// Two counter structs flattened into one object under `lut_`/`memo_`
+/// prefixes. Kept apart from [`summary_json`] so deterministic summary
+/// files never embed host-varying counters.
+impl Codec for WireCacheStats {
+    fn to_json(&self) -> Json {
+        let (lut, memo) = (&self.lut, &self.memo);
+        Json::object(vec![
+            ("lut_hits", lut.hits.to_json()),
+            ("lut_misses", lut.misses.to_json()),
+            ("lut_evictions", lut.evictions.to_json()),
+            ("lut_resident_bytes", lut.resident_bytes.to_json()),
+            ("lut_failed_builds", lut.failed_builds.to_json()),
+            ("lut_restored", lut.restored.to_json()),
+            ("lut_entries", lut.entries.to_json()),
+            ("memo_hits", memo.hits.to_json()),
+            ("memo_misses", memo.misses.to_json()),
+            ("memo_entries", memo.entries.to_json()),
+        ])
+    }
+    fn from_json(value: &Json, _what: &str) -> Result<Self, NetError> {
+        Ok(WireCacheStats {
+            lut: CacheStats {
+                hits: Field::get(value, "lut_hits")?,
+                misses: Field::get(value, "lut_misses")?,
+                evictions: Field::get(value, "lut_evictions")?,
+                resident_bytes: Field::get(value, "lut_resident_bytes")?,
+                failed_builds: Field::get(value, "lut_failed_builds")?,
+                restored: Field::get(value, "lut_restored")?,
+                entries: Field::get(value, "lut_entries")?,
+            },
+            memo: MemoStats {
+                hits: Field::get(value, "memo_hits")?,
+                misses: Field::get(value, "memo_misses")?,
+                entries: Field::get(value, "memo_entries")?,
+            },
+        })
+    }
+}
+
+/// The canonical JSON form of a [`LatencyDigest`] — the one place the
+/// `p50`/`p95`/`p99`/`max`/`total` keys are spelled; `loadgen`'s report
+/// reuses it.
+#[must_use]
+pub fn digest_json(digest: &LatencyDigest) -> Json {
+    digest.to_json()
+}
+
+/// The canonical JSON form of a [`ServeSummary`] (used by the drain
+/// response, the daemon's `--out` file, and the multi-process tests).
+#[must_use]
+pub fn summary_json(summary: &ServeSummary) -> Json {
+    summary.to_json()
 }
 
 /// Decodes the canonical JSON form of a [`ServeSummary`] (inverse of
@@ -766,131 +740,44 @@ fn stats_from_json(value: &Json) -> Result<Stats, NetError> {
 ///
 /// [`NetError::Decode`] naming the first malformed field.
 pub fn summary_from_json(value: &Json) -> Result<ServeSummary, NetError> {
-    let digest = |key: &str| -> Result<LatencyDigest, NetError> {
-        let d = field(value, key)?;
-        Ok(LatencyDigest {
-            p50: uint_field(d, "p50")?,
-            p95: uint_field(d, "p95")?,
-            p99: uint_field(d, "p99")?,
-            max: uint_field(d, "max")?,
-            total: uint_field(d, "total")?,
-        })
-    };
-    Ok(ServeSummary {
-        requests: u64_field(value, "requests")?,
-        gemm_requests: u64_field(value, "gemm_requests")?,
-        infer_requests: u64_field(value, "infer_requests")?,
-        session_requests: u64_field(value, "session_requests")?,
-        decode_steps: u64_field(value, "decode_steps")?,
-        failed_requests: u64_field(value, "failed_requests")?,
-        stats: stats_from_json(field(value, "stats")?)?,
-        energy_pj: uint_field(value, "energy_pj")?,
-        latency: digest("latency")?,
-        ttft: digest("ttft")?,
-        decode: digest("decode")?,
-        checksum: u64_field(value, "checksum")?,
-    })
+    ServeSummary::from_object(value)
 }
 
-fn workload_from_json(value: &Json) -> Result<Workload, NetError> {
-    let model = match str_field(value, "model")? {
-        "BERT" => ModelConfig::bert_base(),
-        "OPT" => ModelConfig::opt_125m(),
-        "ViT" => ModelConfig::vit_base(),
-        other => return Err(decode_err(format!("unknown model '{other}'"))),
-    };
-    let decode_tokens = u64_field(value, "decode_tokens")?;
-    let decode_tokens = u32::try_from(decode_tokens)
-        .map_err(|_| decode_err("field 'decode_tokens' overflows u32"))?;
-    let step = match value.get("context") {
-        None => None,
-        Some(_) => Some(DecodeStep {
-            context: usize_field(value, "context")?,
-        }),
-    };
-    Ok(Workload {
-        model,
-        batch: usize_field(value, "batch")?,
-        decode_tokens,
-        step,
-    })
+/// Closes an object with the envelope every payload carries: the schema
+/// version and the `kind` tag that selects the body's type.
+fn envelope(kind: &str, mut pairs: Pairs) -> String {
+    pairs.push(("v", WIRE_VERSION.to_json()));
+    pairs.push(("kind", text(kind)));
+    Json::object(pairs).to_compact()
 }
 
-fn gemm_request_from_json(value: &Json) -> Result<GemmRequest, NetError> {
-    let mut request = GemmRequest::new(
-        qmatrix_from_json(field(value, "w")?, "w")?,
-        qmatrix_from_json(field(value, "a")?, "a")?,
-    );
-    if let Some(m) = value.get("method") {
-        let token = m
-            .as_str()
-            .ok_or_else(|| decode_err("field 'method' must be a string"))?;
-        request.method = Some(method_from_token(token)?);
+/// Parses a payload and checks the envelope; returns the object and its
+/// `kind`.
+fn open_envelope(payload: &[u8]) -> Result<(Json, String), NetError> {
+    let body = std::str::from_utf8(payload).map_err(|_| decode_err("payload is not UTF-8"))?;
+    let value = Json::parse(body).map_err(|e| decode_err(format!("payload is not JSON: {e}")))?;
+    let v = u128::get(&value, "v")?;
+    if v != WIRE_VERSION {
+        return Err(decode_err(format!(
+            "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
+        )));
     }
-    if value.get("banks").is_some() {
-        let banks = u64_field(value, "banks")?;
-        request.banks =
-            Some(u32::try_from(banks).map_err(|_| decode_err("field 'banks' overflows u32"))?);
-    }
-    if let Some(pin) = value.get("pin") {
-        let placement = match str_field(pin, "placement")? {
-            "buffer-resident" => Placement::BufferResident,
-            "slice-streaming" => Placement::Streaming,
-            other => return Err(decode_err(format!("unknown placement '{other}'"))),
-        };
-        let p = u64_field(pin, "p")?;
-        request.pin = Some(PlanPin {
-            placement,
-            p: u32::try_from(p).map_err(|_| decode_err("field 'p' overflows u32"))?,
-        });
-    }
-    Ok(request)
+    let kind = String::get(&value, "kind")?;
+    Ok((value, kind))
 }
 
-fn infer_request_from_json(value: &Json) -> Result<InferenceRequest, NetError> {
-    let workloads = array_field(value, "workloads")?
-        .iter()
-        .map(workload_from_json)
-        .collect::<Result<Vec<Workload>, NetError>>()?;
-    let mut request = InferenceRequest::serving(workloads);
-    if let Some(m) = value.get("method") {
-        let token = m
-            .as_str()
-            .ok_or_else(|| decode_err("field 'method' must be a string"))?;
-        request.method = Some(method_from_token(token)?);
+/// Encodes a request as its canonical compact payload — the exact bytes
+/// framed onto the wire and the exact line the server's request log
+/// stores.
+#[must_use]
+pub fn encode_request(request: &WireRequest) -> String {
+    match request {
+        WireRequest::Gemm(r) => envelope("gemm", r.pairs()),
+        WireRequest::Infer(r) => envelope("infer", r.pairs()),
+        WireRequest::Session(r) => envelope("session", r.pairs()),
+        WireRequest::Ping => envelope("ping", Pairs::new()),
+        WireRequest::Drain => envelope("drain", Pairs::new()),
     }
-    if let Some(bits) = value.get("bits") {
-        let token = bits
-            .as_str()
-            .ok_or_else(|| decode_err("field 'bits' must be a string"))?;
-        request.bits = Some(
-            token
-                .parse::<BitConfig>()
-                .map_err(|e| decode_err(format!("bad bit config '{token}': {e}")))?,
-        );
-    }
-    Ok(request)
-}
-
-fn session_request_from_json(value: &Json) -> Result<SessionRequest, NetError> {
-    let mut request = SessionRequest::new(workload_from_json(field(value, "workload")?)?);
-    if let Some(m) = value.get("method") {
-        let token = m
-            .as_str()
-            .ok_or_else(|| decode_err("field 'method' must be a string"))?;
-        request.method = Some(method_from_token(token)?);
-    }
-    if let Some(bits) = value.get("bits") {
-        let token = bits
-            .as_str()
-            .ok_or_else(|| decode_err("field 'bits' must be a string"))?;
-        request.bits = Some(
-            token
-                .parse::<BitConfig>()
-                .map_err(|e| decode_err(format!("bad bit config '{token}': {e}")))?,
-        );
-    }
-    Ok(request)
 }
 
 /// Decodes a request payload.
@@ -900,102 +787,39 @@ fn session_request_from_json(value: &Json) -> Result<SessionRequest, NetError> {
 /// [`NetError::Decode`] naming the first malformed field; unknown `kind`
 /// values are errors (forward compatibility is the version field's job).
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, NetError> {
-    let value = parse_payload(payload)?;
-    match str_field(&value, "kind")? {
-        "gemm" => Ok(WireRequest::Gemm(gemm_request_from_json(&value)?)),
-        "infer" => Ok(WireRequest::Infer(infer_request_from_json(&value)?)),
-        "session" => Ok(WireRequest::Session(session_request_from_json(&value)?)),
+    let (value, kind) = open_envelope(payload)?;
+    match kind.as_str() {
+        "gemm" => Record::from_object(&value).map(WireRequest::Gemm),
+        "infer" => Record::from_object(&value).map(WireRequest::Infer),
+        "session" => Record::from_object(&value).map(WireRequest::Session),
         "ping" => Ok(WireRequest::Ping),
         "drain" => Ok(WireRequest::Drain),
         other => Err(decode_err(format!("unknown request kind '{other}'"))),
     }
 }
 
-fn rejection_from_json(value: &Json) -> Result<Rejection, NetError> {
-    match str_field(value, "reason")? {
-        "queue-full" => Ok(Rejection::QueueFull {
-            capacity: usize_field(value, "capacity")?,
-            retry_after_ms: u64_field(value, "retry_after_ms")?,
-        }),
-        "quota-exhausted" => Ok(Rejection::QuotaExhausted {
-            limit: u64_field(value, "limit")?,
-        }),
-        "draining" => Ok(Rejection::Draining),
-        other => Err(decode_err(format!("unknown rejection reason '{other}'"))),
+/// Encodes a response as its canonical compact payload.
+#[must_use]
+pub fn encode_response(response: &WireResponse) -> String {
+    match response {
+        WireResponse::Gemm(g) => envelope("gemm", g.pairs()),
+        WireResponse::Infer(i) => envelope("infer", i.pairs()),
+        WireResponse::Session(s) => envelope("session", s.pairs()),
+        WireResponse::Rejected(r) => envelope("rejected", r.pairs()),
+        WireResponse::Error { kind, message } => envelope(
+            "error",
+            vec![
+                ("error_kind", kind.to_json()),
+                ("message", message.to_json()),
+            ],
+        ),
+        WireResponse::Pong { served } => envelope("pong", vec![("served", served.to_json())]),
+        WireResponse::Drained { summary, cache } => {
+            let mut pairs = vec![("summary", summary.to_json())];
+            cache.put("cache", &mut pairs);
+            envelope("drained", pairs)
+        }
     }
-}
-
-fn gemm_response_from_json(value: &Json) -> Result<WireGemmResponse, NetError> {
-    let values = array_field(value, "values")?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| i32::try_from(i).ok())
-                .ok_or_else(|| decode_err("GEMM values must be i32"))
-        })
-        .collect::<Result<Vec<i32>, NetError>>()?;
-    let dims = field(value, "dims")?;
-    let lut_cache = match value.get("lut_cache") {
-        None => None,
-        Some(j) => match j.as_str() {
-            Some("hit") => Some(CacheOutcome::Hit),
-            Some("miss") => Some(CacheOutcome::Miss),
-            _ => return Err(decode_err("field 'lut_cache' must be \"hit\" or \"miss\"")),
-        },
-    };
-    Ok(WireGemmResponse {
-        values,
-        dims: GemmDims {
-            m: usize_field(dims, "m")?,
-            k: usize_field(dims, "k")?,
-            n: usize_field(dims, "n")?,
-        },
-        method: method_from_token(str_field(value, "method")?)?,
-        stats: stats_from_json(field(value, "stats")?)?,
-        energy_pj: uint_field(value, "energy_pj")?,
-        checksum: u64_field(value, "checksum")?,
-        latency_femtos: uint_field(value, "latency_femtos")?,
-        lut_cache,
-    })
-}
-
-fn report_seconds_from_json(value: &Json) -> Result<Vec<(f64, f64)>, NetError> {
-    array_field(value, "reports")?
-        .iter()
-        .map(|r| {
-            Ok((
-                float_field(r, "prefill_seconds")?,
-                float_field(r, "decode_seconds")?,
-            ))
-        })
-        .collect()
-}
-
-fn infer_response_from_json(value: &Json) -> Result<WireInferResponse, NetError> {
-    Ok(WireInferResponse {
-        reports: report_seconds_from_json(value)?,
-        stats: stats_from_json(field(value, "stats")?)?,
-        energy_pj: uint_field(value, "energy_pj")?,
-        method: method_from_token(str_field(value, "method")?)?,
-    })
-}
-
-fn session_response_from_json(value: &Json) -> Result<WireSessionResponse, NetError> {
-    let decode_step_femtos = array_field(value, "decode_step_femtos")?
-        .iter()
-        .map(|f| {
-            f.as_uint()
-                .ok_or_else(|| decode_err("decode step femtos must be integers"))
-        })
-        .collect::<Result<Vec<u128>, NetError>>()?;
-    Ok(WireSessionResponse {
-        reports: report_seconds_from_json(value)?,
-        stats: stats_from_json(field(value, "stats")?)?,
-        energy_pj: uint_field(value, "energy_pj")?,
-        method: method_from_token(str_field(value, "method")?)?,
-        ttft_femtos: uint_field(value, "ttft_femtos")?,
-        decode_step_femtos,
-    })
 }
 
 /// Decodes a response payload.
@@ -1004,25 +828,22 @@ fn session_response_from_json(value: &Json) -> Result<WireSessionResponse, NetEr
 ///
 /// [`NetError::Decode`] naming the first malformed field.
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, NetError> {
-    let value = parse_payload(payload)?;
-    match str_field(&value, "kind")? {
-        "gemm" => Ok(WireResponse::Gemm(gemm_response_from_json(&value)?)),
-        "infer" => Ok(WireResponse::Infer(infer_response_from_json(&value)?)),
-        "session" => Ok(WireResponse::Session(session_response_from_json(&value)?)),
-        "rejected" => Ok(WireResponse::Rejected(rejection_from_json(&value)?)),
+    let (value, kind) = open_envelope(payload)?;
+    match kind.as_str() {
+        "gemm" => Record::from_object(&value).map(WireResponse::Gemm),
+        "infer" => Record::from_object(&value).map(WireResponse::Infer),
+        "session" => Record::from_object(&value).map(WireResponse::Session),
+        "rejected" => Record::from_object(&value).map(WireResponse::Rejected),
         "error" => Ok(WireResponse::Error {
-            kind: str_field(&value, "error_kind")?.to_owned(),
-            message: str_field(&value, "message")?.to_owned(),
+            kind: Field::get(&value, "error_kind")?,
+            message: Field::get(&value, "message")?,
         }),
         "pong" => Ok(WireResponse::Pong {
-            served: u64_field(&value, "served")?,
+            served: Field::get(&value, "served")?,
         }),
         "drained" => Ok(WireResponse::Drained {
-            summary: Box::new(summary_from_json(field(&value, "summary")?)?),
-            cache: match value.get("cache") {
-                Some(cache) => Some(cache_stats_from_json(cache)?),
-                None => None,
-            },
+            summary: Box::new(Field::get(&value, "summary")?),
+            cache: Field::get(&value, "cache")?,
         }),
         other => Err(decode_err(format!("unknown response kind '{other}'"))),
     }
@@ -1083,14 +904,6 @@ mod tests {
         })
     }
 
-    fn to_wire(request: &TrafficRequest) -> WireRequest {
-        match request {
-            TrafficRequest::Gemm(r) => WireRequest::Gemm(r.clone()),
-            TrafficRequest::Infer(r) => WireRequest::Infer(r.clone()),
-            TrafficRequest::Session(r) => WireRequest::Session(r.clone()),
-        }
-    }
-
     #[test]
     fn every_traffic_request_roundtrips_bitwise() {
         // The traffic generators cover all three kinds, every optional
@@ -1098,7 +911,7 @@ mod tests {
         let log: Vec<TrafficRequest> = mixed_log().into_iter().chain(chat_log()).collect();
         assert!(log.iter().any(|r| matches!(r, TrafficRequest::Session(_))));
         for request in log {
-            let wire = to_wire(&request);
+            let wire = WireRequest::from(request);
             let encoded = encode_request(&wire);
             let decoded = decode_request(encoded.as_bytes()).unwrap();
             assert_eq!(decoded, wire);
@@ -1159,17 +972,17 @@ mod tests {
                 TrafficRequest::Gemm(r) => {
                     let result = engine.submit(&r);
                     server_side.record_gemm(&result);
-                    gemm_result_response(&result)
+                    result_response(&result)
                 }
                 TrafficRequest::Infer(r) => {
                     let result = engine.infer(&r);
                     server_side.record_infer(&result);
-                    infer_result_response(&result)
+                    result_response(&result)
                 }
                 TrafficRequest::Session(r) => {
                     let result = engine.infer_session(&r);
                     server_side.record_session(&result);
-                    session_result_response(&result)
+                    result_response(&result)
                 }
             };
             let decoded = decode_response(encode_response(&response).as_bytes()).unwrap();
@@ -1234,7 +1047,7 @@ mod tests {
         let log: Vec<TrafficRequest> = mixed_log().into_iter().chain(chat_log()).collect();
         let text: String = log
             .iter()
-            .map(|r| encode_request(&to_wire(r)) + "\n")
+            .map(|r| encode_request(&r.clone().into()) + "\n")
             .collect();
         let parsed = parse_request_log(&text).unwrap();
         let engine = Engine::builder().threads(1).banks(2).build();
@@ -1244,17 +1057,74 @@ mod tests {
     }
 
     #[test]
+    fn format_tokens_are_pinned_and_ranges_enforced() {
+        // The traffic generators emit only a few formats; pin the rest of
+        // the token space, and the width ranges the lookup derives.
+        for (token, format) in [
+            ("bipolar", NumericFormat::Bipolar),
+            ("fp4", NumericFormat::Fp4),
+            ("fp8", NumericFormat::Fp8),
+            ("fp16", NumericFormat::Fp16),
+            ("int2", NumericFormat::Int(2)),
+            ("int16", NumericFormat::Int(16)),
+            ("uint1", NumericFormat::Uint(1)),
+            ("uint16", NumericFormat::Uint(16)),
+        ] {
+            assert_eq!(format.to_json(), text(token));
+            assert_eq!(
+                NumericFormat::from_json(&text(token), "format").unwrap(),
+                format
+            );
+        }
+        for bad in ["int1", "int17", "uint0", "uint17", "int", "fp32", "INT3"] {
+            let err = NumericFormat::from_json(&text(bad), "format").unwrap_err();
+            assert!(err.to_string().contains("unknown numeric format"), "{err}");
+        }
+    }
+
+    #[test]
     fn malformed_payloads_name_the_problem() {
-        let cases: [(&[u8], &str); 6] = [
-            (b"not json", "not JSON"),
-            (b"{\"kind\":\"gemm\"}", "missing field 'v'"),
-            (b"{\"v\":1}", "missing field 'kind'"),
-            (b"{\"v\":99,\"kind\":\"ping\"}", "unsupported wire version"),
-            (b"{\"v\":1,\"kind\":\"warp\"}", "unknown request kind"),
-            (b"{\"v\":1,\"kind\":\"gemm\"}", "missing field 'w'"),
+        let request = |payload: &[u8]| decode_request(payload).map(drop);
+        let response = |payload: &[u8]| decode_response(payload).map(drop);
+        type Decoder<'a> = &'a dyn Fn(&[u8]) -> Result<(), NetError>;
+        let cases: [(Decoder, &[u8], &str); 8] = [
+            (&request, b"not json", "not JSON"),
+            (&request, b"{\"kind\":\"gemm\"}", "missing field 'v'"),
+            (&request, b"{\"v\":1}", "missing field 'kind'"),
+            (
+                &request,
+                b"{\"v\":99,\"kind\":\"ping\"}",
+                "unsupported wire version",
+            ),
+            (
+                &request,
+                b"{\"v\":1,\"kind\":\"warp\"}",
+                "unknown request kind",
+            ),
+            (
+                &request,
+                b"{\"v\":1,\"kind\":\"gemm\"}",
+                "missing field 'w'",
+            ),
+            (
+                &response,
+                b"{\"v\":1,\"kind\":\"warp\"}",
+                "unknown response kind",
+            ),
+            // Two peer-supplied categories whose sum passes u128::MAX: a
+            // decode error, not a debug-build panic or a wrapped total.
+            (
+                &response,
+                b"{\"v\":1,\"kind\":\"infer\",\"energy_pj\":1,\"method\":\"localut\",\"reports\":[],\
+                  \"stats\":{\"banks\":1,\"category_femtos\":{\
+                  \"accumulate\":340282366920938463463374607431768211455,\"lut-load\":1},\
+                  \"dram_read_bytes\":0,\"dram_write_bytes\":0,\"wram_accesses\":0,\
+                  \"instructions\":0,\"host_bytes\":0,\"host_ops\":0}}",
+                "category_femtos",
+            ),
         ];
-        for (payload, needle) in cases {
-            let err = decode_request(payload).unwrap_err();
+        for (decode, payload, needle) in cases {
+            let err = decode(payload).unwrap_err();
             assert!(
                 err.to_string().contains(needle),
                 "payload {:?}: expected '{needle}' in '{err}'",

@@ -38,11 +38,14 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Locks one of the executor's internal scheduling mutexes. No user code
-/// ever runs under these locks (they guard index deques manipulated with
-/// plain `VecDeque` operations), so a poisoned lock still holds a valid
-/// queue — recover it rather than compounding one worker's panic.
-fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, **recovering** the data from a poisoned lock instead of
+/// propagating the panic — the stack-wide policy for state whose every
+/// critical section leaves it valid at each panic point: the executor's
+/// index deques (plain `VecDeque` operations, no user code under the
+/// lock), the engine's LUT cache, plan memo and scheduler queues, and the
+/// network front-end's counters and request log. One panicking worker
+/// must not wedge every other thread that shares the state.
+pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -508,7 +511,7 @@ impl ParallelExecutor {
                         let mut produced: Vec<(usize, R)> = Vec::new();
                         'work: loop {
                             // Drain the owned deque front-to-back.
-                            while let Some(idx) = lock_clean(&deques[wid]).pop_front() {
+                            while let Some(idx) = lock_recover(&deques[wid]).pop_front() {
                                 produced.push((idx, f(&items[idx])));
                             }
                             // Empty: scan siblings (nearest first) and
@@ -517,12 +520,12 @@ impl ParallelExecutor {
                             for step in 1..workers {
                                 let victim = (wid + step) % workers;
                                 let mut stolen = {
-                                    let mut queue = lock_clean(&deques[victim]);
+                                    let mut queue = lock_recover(&deques[victim]);
                                     let keep = queue.len() - queue.len() / 2;
                                     queue.split_off(keep)
                                 };
                                 if !stolen.is_empty() {
-                                    lock_clean(&deques[wid]).append(&mut stolen);
+                                    lock_recover(&deques[wid]).append(&mut stolen);
                                     continue 'work;
                                 }
                             }

@@ -58,5 +58,7 @@
 mod executor;
 mod shard;
 
-pub use executor::{fnv1a_64, values_checksum, BankResult, ParallelExecutor, ParallelGemm};
+pub use executor::{
+    fnv1a_64, lock_recover, values_checksum, BankResult, ParallelExecutor, ParallelGemm,
+};
 pub use shard::{RankPlan, Shard, ShardPlan};

@@ -305,33 +305,14 @@ fn summary_json(args: &Args, summary: &ServeSummary) -> Vec<(&'static str, Json)
                 ("instructions", Json::UInt(snap.instructions)),
                 ("energy_pj", Json::UInt(summary.energy_pj)),
                 ("values_checksum", Json::UInt(u128::from(summary.checksum))),
-                (
-                    "latency_femtos",
-                    Json::object(vec![
-                        ("p50", Json::UInt(summary.latency.p50)),
-                        ("p95", Json::UInt(summary.latency.p95)),
-                        ("p99", Json::UInt(summary.latency.p99)),
-                        ("max", Json::UInt(summary.latency.max)),
-                        ("total", Json::UInt(summary.latency.total)),
-                    ]),
-                ),
-                ("ttft_femtos", digest_json(&summary.ttft)),
-                ("decode_step_femtos", digest_json(&summary.decode)),
+                // Integer femtoseconds; all zeros when the run produced
+                // no samples of that kind.
+                ("latency_femtos", wire::digest_json(&summary.latency)),
+                ("ttft_femtos", wire::digest_json(&summary.ttft)),
+                ("decode_step_femtos", wire::digest_json(&summary.decode)),
             ]),
         ),
     ]
-}
-
-/// One latency digest as a JSON object (integer femtoseconds; all zeros
-/// when the run produced no samples of that kind).
-fn digest_json(digest: &engine::LatencyDigest) -> Json {
-    Json::object(vec![
-        ("p50", Json::UInt(digest.p50)),
-        ("p95", Json::UInt(digest.p95)),
-        ("p99", Json::UInt(digest.p99)),
-        ("max", Json::UInt(digest.max)),
-        ("total", Json::UInt(digest.total)),
-    ])
 }
 
 /// Host-dependent observables, attached only under `--keep-host` (they
@@ -632,18 +613,11 @@ fn call_through_backpressure(
 /// (order irrelevant — the summary fold is order-invariant).
 fn drive_remote_client(
     addr: &str,
-    log: &[TrafficRequest],
+    log: Vec<TrafficRequest>,
     mode: ArrivalMode,
 ) -> Result<Vec<WireResponse>, String> {
     let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;
-    let requests: Vec<WireRequest> = log
-        .iter()
-        .map(|r| match r {
-            TrafficRequest::Gemm(g) => WireRequest::Gemm(g.clone()),
-            TrafficRequest::Infer(i) => WireRequest::Infer(i.clone()),
-            TrafficRequest::Session(s) => WireRequest::Session(s.clone()),
-        })
-        .collect();
+    let requests: Vec<WireRequest> = log.into_iter().map(WireRequest::from).collect();
     let mut responses = Vec::with_capacity(requests.len());
     match mode {
         // Closed loop: one request in flight per client.
@@ -696,7 +670,7 @@ fn run_remote(args: &Args, addr: &str) -> Result<ExitCode, String> {
             .map(|client| {
                 let log = args.client_requests(client);
                 let mode = args.mode;
-                scope.spawn(move || drive_remote_client(addr, &log, mode))
+                scope.spawn(move || drive_remote_client(addr, log, mode))
             })
             .collect();
         handles

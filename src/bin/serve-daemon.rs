@@ -174,11 +174,12 @@ fn run(args: &Args) -> Result<(), String> {
     let report = server.wait();
     let summary = &report.serve.summary;
     println!(
-        "serve-daemon: drained — {} request(s) served ({} gemm + {} infer, {} failed), \
-         {} connection(s), {} quota-rejected, {} over-capacity, {} protocol error(s)",
+        "serve-daemon: drained — {} request(s) served ({} gemm + {} infer + {} session, \
+         {} failed), {} connection(s), {} quota-rejected, {} over-capacity, {} protocol error(s)",
         summary.requests,
         summary.gemm_requests,
         summary.infer_requests,
+        summary.session_requests,
         summary.failed_requests,
         report.connections,
         report.rejected_quota,
