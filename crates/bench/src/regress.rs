@@ -190,7 +190,6 @@ mod tests {
             host_ops: 0,
             energy_pj: 0,
             values_checksum: checksum,
-            wall_nanos: None,
         }
     }
 

@@ -6,9 +6,11 @@
 //! * **Schema-versioned** — `schema_version` is checked on read so a
 //!   stale baseline fails loudly instead of comparing garbage.
 //! * **Deterministic bytes** — object keys sort, integers are exact
-//!   decimal, scenarios keep registry order, and host wall-clock (the
-//!   only nondeterministic field) is excluded unless explicitly included,
-//!   so regenerating an unchanged baseline is byte-identical.
+//!   decimal, scenarios keep registry order, and no host-dependent
+//!   number is ever written (host time is the `benchmark/` program's
+//!   job), so regenerating an unchanged baseline is byte-identical. A
+//!   report written before that — carrying a `wall_nanos` key per
+//!   scenario — still loads; the key is ignored.
 //! * **Integer metrics** — simulated time is the `u128` femtosecond
 //!   ledger from [`pim_sim::Stats`], energy is rounded picojoules, and
 //!   the functional fingerprint is a `u64` checksum; comparison never
@@ -49,9 +51,6 @@ pub struct ScenarioReport {
     pub energy_pj: u128,
     /// Fingerprint of functional output values (0 = analytic scenario).
     pub values_checksum: u64,
-    /// Host wall-clock in nanoseconds — `None` in deterministic output,
-    /// always ignored by comparison.
-    pub wall_nanos: Option<u128>,
 }
 
 impl ScenarioReport {
@@ -78,7 +77,6 @@ impl ScenarioReport {
             host_ops: snap.host_ops,
             energy_pj: m.outcome.energy_pj,
             values_checksum: m.outcome.checksum,
-            wall_nanos: Some(m.wall_nanos),
         }
     }
 
@@ -88,8 +86,8 @@ impl ScenarioReport {
         self.sim_femtos as f64 / 1e12
     }
 
-    fn to_json(&self, include_wall: bool) -> Json {
-        let mut pairs = vec![
+    fn to_json(&self) -> Json {
+        Json::object(vec![
             ("name", Json::Str(self.name.clone())),
             ("sim_femtos", Json::UInt(self.sim_femtos)),
             (
@@ -113,13 +111,7 @@ impl ScenarioReport {
                 "values_checksum",
                 Json::UInt(u128::from(self.values_checksum)),
             ),
-        ];
-        if include_wall {
-            if let Some(wall) = self.wall_nanos {
-                pairs.push(("wall_nanos", Json::UInt(wall)));
-            }
-        }
-        Json::object(pairs)
+        ])
     }
 
     fn from_json(v: &Json) -> Result<ScenarioReport, String> {
@@ -162,7 +154,6 @@ impl ScenarioReport {
             energy_pj: uint("energy_pj")?,
             values_checksum: u64::try_from(uint("values_checksum")?)
                 .map_err(|_| "values_checksum out of range")?,
-            wall_nanos: v.get("wall_nanos").and_then(Json::as_uint),
             categories,
             name,
         })
@@ -206,11 +197,9 @@ impl BenchReport {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
-    /// Serializes to canonical JSON. With `include_wall = false` (the
-    /// default for committed baselines) the nondeterministic host
-    /// wall-clock fields are omitted and the output is byte-reproducible.
+    /// Serializes to canonical, byte-reproducible JSON.
     #[must_use]
-    pub fn to_json(&self, include_wall: bool) -> String {
+    pub fn to_json(&self) -> String {
         Json::object(vec![
             ("schema_version", Json::UInt(u128::from(SCHEMA_VERSION))),
             ("tag", Json::Str(self.tag.clone())),
@@ -218,12 +207,7 @@ impl BenchReport {
             ("threads", Json::UInt(u128::from(self.threads))),
             (
                 "scenarios",
-                Json::Array(
-                    self.scenarios
-                        .iter()
-                        .map(|s| s.to_json(include_wall))
-                        .collect(),
-                ),
+                Json::Array(self.scenarios.iter().map(ScenarioReport::to_json).collect()),
             ),
         ])
         .to_pretty()
@@ -272,17 +256,6 @@ impl BenchReport {
             scenarios,
         })
     }
-
-    /// A copy with wall-clock fields stripped (what a committed baseline
-    /// contains).
-    #[must_use]
-    pub fn without_wall(&self) -> BenchReport {
-        let mut copy = self.clone();
-        for s in &mut copy.scenarios {
-            s.wall_nanos = None;
-        }
-        copy
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +279,6 @@ mod tests {
             host_ops: 3,
             energy_pj: 999_999,
             values_checksum: checksum,
-            wall_nanos: Some(123_456_789),
         }
     }
 
@@ -325,26 +297,17 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_every_field() {
         let report = sample();
-        let parsed = BenchReport::from_json(&report.to_json(true)).unwrap();
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn deterministic_output_strips_wall_clock() {
-        let report = sample();
-        let text = report.to_json(false);
-        assert!(!text.contains("wall_nanos"));
+        let text = report.to_json();
         let parsed = BenchReport::from_json(&text).unwrap();
-        assert_eq!(parsed, report.without_wall());
+        assert_eq!(parsed, report);
         // Byte-level determinism.
-        assert_eq!(text, report.to_json(false));
-        assert_eq!(text, parsed.to_json(false));
+        assert_eq!(text, parsed.to_json());
     }
 
     #[test]
     fn schema_version_is_checked() {
         let text = sample()
-            .to_json(false)
+            .to_json()
             .replace("\"schema_version\": 1", "\"schema_version\": 999");
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema version 999"), "{err}");
@@ -352,7 +315,7 @@ mod tests {
 
     #[test]
     fn unknown_categories_are_rejected() {
-        let text = sample().to_json(false).replace("lut-load", "warp-drive");
+        let text = sample().to_json().replace("lut-load", "warp-drive");
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("unknown category"), "{err}");
     }
@@ -360,7 +323,7 @@ mod tests {
     #[test]
     fn missing_fields_error_with_context() {
         let text = sample()
-            .to_json(false)
+            .to_json()
             .replace("\"sim_femtos\"", "\"sim_femtoz\"");
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("sim_femtos"), "{err}");

@@ -296,9 +296,8 @@ fn gemm_scenario(ctx: &ScenarioCtx, m: usize) -> ScenarioOutcome {
 /// Fig. 9 at full-machine scale: the paper-shape GEMM sharded across the
 /// ranked 32 × 64 topology — a 128 × 16 grid of exactly 2048 bank shards,
 /// merged through the per-rank tree with the rank-bus contention phase on
-/// the measured path. The host side is the work-stealing executor's
-/// stress case (2048 ragged tiles); the simulated side pins the scale-out
-/// cost model.
+/// the measured path. The host side is the executor's stress case (2048
+/// ragged tiles); the simulated side pins the scale-out cost model.
 fn gemm_huge_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     let (wf, af) = w1a3();
     let dims = GemmDims {

@@ -347,10 +347,6 @@ pub(crate) struct PlanKey {
     pub(crate) af: NumericFormat,
     /// `Some(k)` pins the slice budget; `None` searches over it.
     pub(crate) k_slices: Option<u32>,
-    /// True for the measured-cost decode path
-    /// ([`localut::plan::Planner::plan_measured`]), false for the
-    /// closed-form path.
-    pub(crate) measured: bool,
 }
 
 /// Running counters of plan-memo behavior (host-side observability; never
@@ -635,7 +631,6 @@ mod tests {
             wf: NumericFormat::Int(2),
             af: NumericFormat::Int(3),
             k_slices: Some(2),
-            measured: false,
         }
     }
 
@@ -683,24 +678,5 @@ mod tests {
         })
         .unwrap();
         assert!(recomputed, "oldest key must have been evicted");
-    }
-
-    #[test]
-    fn measured_and_closed_form_keys_are_distinct() {
-        let memo = PlanMemo::new();
-        memo.get_or_plan(plan_key(4), || Ok(plan(3))).unwrap();
-        let measured = PlanKey {
-            measured: true,
-            k_slices: None,
-            ..plan_key(4)
-        };
-        let mut computed = false;
-        memo.get_or_plan(measured, || {
-            computed = true;
-            Ok(plan(4))
-        })
-        .unwrap();
-        assert!(computed, "measured path must not alias the closed form");
-        assert_eq!(memo.stats().entries, 2);
     }
 }

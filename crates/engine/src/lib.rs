@@ -17,8 +17,6 @@
 //!   the expensive canonical/reordering rebuild: the first real step
 //!   toward request-serving throughput. Cache behavior is observable via
 //!   [`Engine::lut_cache_stats`] and per-response [`CacheOutcome`]s.
-//! * [`Session`] — a lightweight accumulator over one engine for serving
-//!   sessions: per-session merged statistics, energy, and request counts.
 //! * [`serve`] — the **concurrent serving scheduler**: a thread-safe
 //!   [`Server`] frontend (admission queue + worker pool + dynamic GEMM
 //!   batching) over one shared engine, with deterministic merged
@@ -29,9 +27,9 @@
 //!   [`SessionRequest`] decomposes into one prefill step plus one step
 //!   per decode token, each re-entering the admission queue as its own
 //!   schedulable unit (new prefills interleave between decode waves),
-//!   with per-phase execution planning and LUT-cache keying
-//!   ([`Engine::session_plans`]) and deterministic TTFT/per-step latency
-//!   digests in the [`ServeSummary`].
+//!   with deterministic TTFT/per-step latency digests in the
+//!   [`ServeSummary`]. Sessions are timed analytically and touch no LUT
+//!   image.
 //!
 //! Determinism is inherited from the layers below: for a fixed request,
 //! every response is bitwise identical at any worker count, with or
@@ -78,7 +76,7 @@ pub use serve::{
     LatencyDigest, ServeConfig, ServeConfigBuilder, ServeRecorder, ServeReport, ServeSummary,
     Server, Ticket,
 };
-pub use sessions::{SessionPlans, SessionRequest, SessionResponse};
+pub use sessions::{SessionRequest, SessionResponse};
 pub use traffic::{Mix, TrafficConfig, TrafficRequest};
 
 use cachelife::lru::{LutCache, PlanKey, PlanMemo};
@@ -466,42 +464,10 @@ impl Engine {
             wf,
             af,
             k_slices,
-            measured: false,
         };
         self.plan_memo.get_or_plan(key, || {
             Planner::new(self.gemm.dpu.clone()).plan(dims, wf, af, k_slices)
         })
-    }
-
-    /// The measured-cost twin of [`Engine::memo_plan`] (the decode-phase
-    /// path of [`Engine::session_plans`]).
-    pub(crate) fn memo_plan_measured(
-        &self,
-        dims: GemmDims,
-        wf: NumericFormat,
-        af: NumericFormat,
-    ) -> Result<ExecutionPlan, LocaLutError> {
-        let key = PlanKey {
-            dims,
-            wf,
-            af,
-            k_slices: None,
-            measured: true,
-        };
-        self.plan_memo.get_or_plan(key, || {
-            Planner::new(self.gemm.dpu.clone()).plan_measured(dims, wf, af)
-        })
-    }
-
-    /// Opens a serving session over this engine.
-    #[must_use]
-    pub fn session(&self) -> Session<'_> {
-        Session {
-            engine: self,
-            stats: Stats::default(),
-            energy_pj: 0,
-            requests: 0,
-        }
     }
 
     /// Executes one GEMM request functionally on the bank-parallel
@@ -810,106 +776,6 @@ impl Engine {
     }
 }
 
-/// A serving session: accumulates merged statistics, energy, and request
-/// counts across the typed calls it forwards to its [`Engine`].
-///
-/// # Examples
-///
-/// ```
-/// use engine::{Engine, GemmRequest};
-/// use quant::{NumericFormat, QMatrix};
-///
-/// let engine = Engine::builder().threads(2).banks(2).build();
-/// let mut session = engine.session();
-/// for seed in 0..3 {
-///     let w = QMatrix::pseudo_random(8, 12, NumericFormat::Int(2), seed);
-///     let a = QMatrix::pseudo_random(12, 4, NumericFormat::Int(3), seed + 100);
-///     session.submit(&GemmRequest::new(w, a))?;
-/// }
-/// assert_eq!(session.requests(), 3);
-/// assert!(session.energy_pj() > 0);
-/// # Ok::<(), engine::EngineError>(())
-/// ```
-#[derive(Debug)]
-pub struct Session<'e> {
-    engine: &'e Engine,
-    stats: Stats,
-    energy_pj: u128,
-    requests: usize,
-}
-
-impl Session<'_> {
-    /// Executes one GEMM request and folds it into the session aggregate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::submit`]. Failed requests leave the aggregate
-    /// untouched.
-    pub fn submit(&mut self, request: &GemmRequest) -> Result<GemmResponse, EngineError> {
-        let response = self.engine.submit(request)?;
-        self.stats.merge(&response.stats);
-        self.energy_pj += response.energy_pj;
-        self.requests += 1;
-        Ok(response)
-    }
-
-    /// Serves a GEMM batch and folds it into the session aggregate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::submit_batch`]. Failed batches leave the aggregate
-    /// untouched.
-    pub fn submit_batch(
-        &mut self,
-        batch: &BatchGemmRequest,
-    ) -> Result<BatchGemmResponse, EngineError> {
-        let response = self.engine.submit_batch(batch)?;
-        self.stats.merge(&response.stats);
-        self.energy_pj += response.energy_pj;
-        self.requests += response.requests();
-        Ok(response)
-    }
-
-    /// Serves an inference request and folds it into the session
-    /// aggregate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::infer`]. Failed requests leave the aggregate
-    /// untouched.
-    pub fn infer(&mut self, request: &InferenceRequest) -> Result<InferenceResponse, EngineError> {
-        let response = self.engine.infer(request)?;
-        self.stats.merge(&response.stats);
-        self.energy_pj += response.energy_pj;
-        self.requests += response.requests();
-        Ok(response)
-    }
-
-    /// The engine this session serves on.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        self.engine
-    }
-
-    /// Merged statistics over every successful request.
-    #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Total modeled energy over every successful request, picojoules.
-    #[must_use]
-    pub fn energy_pj(&self) -> u128 {
-        self.energy_pj
-    }
-
-    /// Number of requests served (batch members count individually).
-    #[must_use]
-    pub fn requests(&self) -> usize {
-        self.requests
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,26 +958,5 @@ mod tests {
         let a = QMatrix::pseudo_random(4, 2, NumericFormat::Int(16), 2);
         let err = engine.submit(&GemmRequest::new(w, a)).unwrap_err();
         assert!(matches!(err, EngineError::Gemm(_)));
-    }
-
-    #[test]
-    fn session_accumulates_across_request_kinds() {
-        let engine = Engine::builder().threads(2).banks(2).build();
-        let mut session = engine.session();
-        let (w, a) = operands(11);
-        let solo = session
-            .submit(&GemmRequest::new(w.clone(), a.clone()))
-            .unwrap();
-        let batch = session
-            .submit_batch(&BatchGemmRequest::new(vec![
-                GemmRequest::new(w.clone(), a.clone()),
-                GemmRequest::new(w, a),
-            ]))
-            .unwrap();
-        assert_eq!(session.requests(), 3);
-        let mut expect = solo.stats.clone();
-        expect.merge(&batch.stats);
-        assert_eq!(session.stats(), &expect);
-        assert_eq!(session.energy_pj(), solo.energy_pj + batch.energy_pj);
     }
 }

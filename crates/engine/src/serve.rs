@@ -655,6 +655,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Records a session's verdict and resolves its ticket.
+    fn finish_session(
+        &self,
+        cell: &TicketCell<SessionResponse>,
+        result: Result<SessionResponse, EngineError>,
+    ) {
+        lock(&self.metrics).recorder.record_session(&result);
+        cell.fulfill(result);
+    }
+
     fn report(&self) -> ServeReport {
         let metrics = lock(&self.metrics);
         ServeReport {
@@ -752,11 +762,17 @@ impl Server {
     /// its decode waves. The ticket resolves once the final step
     /// completes (or the first failing step's error). Admission control
     /// (drain gate, queue cap) applies to the initial submission only —
-    /// an admitted session always runs to completion.
+    /// an admitted session always runs to completion. A session longer
+    /// than [`crate::sessions::MAX_SESSION_STEPS`] resolves immediately to
+    /// [`EngineError::InvalidRequest`] and counts as a failed request.
     pub fn submit_session(&self, request: SessionRequest) -> Ticket<SessionResponse> {
         let cell = Arc::new(TicketCell::new());
-        let job = SessionJob::new(&self.shared.engine, &request);
-        self.enqueue(Job::Session(Box::new(job), cell.clone()), &cell);
+        match SessionJob::new(&self.shared.engine, &request) {
+            Ok(job) => self.enqueue(Job::Session(Box::new(job), cell.clone()), &cell),
+            // An over-long session is a failed request, as it is for
+            // `replay_serial` — resolved here, before it costs anything.
+            Err(error) => self.shared.finish_session(&cell, Err(error)),
+        }
         Ticket { cell }
     }
 
@@ -903,24 +919,18 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 // `next_batch`, so even at shutdown the continuation is
                 // in the queue before any drained-and-closed check this
                 // worker makes: no step is ever stranded.
-                match guarded(|| session.advance(&shared.engine)) {
+                let result = match guarded(|| session.advance(&shared.engine)) {
                     Ok(StepOutcome::Continue) => {
                         let mut queue = lock(&shared.queue);
                         queue.jobs.push_back(Job::Session(session, cell));
                         drop(queue);
                         shared.admit.notify_one();
+                        continue;
                     }
-                    Ok(StepOutcome::Done(response)) => {
-                        let result = Ok(*response);
-                        lock(&shared.metrics).recorder.record_session(&result);
-                        cell.fulfill(result);
-                    }
-                    Err(error) => {
-                        let result = Err(error);
-                        lock(&shared.metrics).recorder.record_session(&result);
-                        cell.fulfill(result);
-                    }
-                }
+                    Ok(StepOutcome::Done(response)) => Ok(*response),
+                    Err(error) => Err(error),
+                };
+                shared.finish_session(&cell, result);
             }
             Job::Gemm(request, cell) => gemms.push((request, cell)),
         }
@@ -1192,6 +1202,57 @@ mod tests {
             ticket.wait(),
             Err(EngineError::Rejected(Rejection::Draining))
         ));
+    }
+
+    #[test]
+    fn oversized_session_fails_at_submission_and_the_server_keeps_serving() {
+        use dnn::{ModelConfig, Workload};
+        let engine = Arc::new(Engine::builder().threads(1).banks(2).build());
+        let huge = SessionRequest::new(Workload::with_decode(ModelConfig::opt_125m(), 1, u32::MAX));
+        let server = Server::start(engine.clone(), &ServeConfig::default());
+        let ticket = server.submit_session(huge.clone());
+        // Resolved by the submitting thread: no worker ever saw it.
+        assert!(ticket.is_ready());
+        assert!(matches!(ticket.wait(), Err(EngineError::InvalidRequest(_))));
+        assert!(server.submit_gemm(small_gemm(4)).wait().is_ok());
+        let report = server.join();
+        assert_eq!(report.summary.failed_requests, 1);
+        assert_eq!(report.summary.gemm_requests, 1);
+        assert_eq!(report.dispatches, 1);
+        // The serial reference fails the same request the same way.
+        let log = [
+            TrafficRequest::Session(huge),
+            TrafficRequest::Gemm(small_gemm(4)),
+        ];
+        assert_eq!(report.summary, replay_serial(&engine, &log));
+    }
+
+    #[test]
+    fn a_gemm_is_admitted_between_a_sessions_decode_waves() {
+        use dnn::{ModelConfig, Workload};
+        let engine = Arc::new(Engine::builder().threads(1).banks(2).build());
+        // No workers: this thread is the scheduler, so the dispatch order
+        // is constructed rather than raced for.
+        let idle = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(engine, &idle);
+        let session = server.submit_session(SessionRequest::new(Workload::with_decode(
+            ModelConfig::opt_125m(),
+            1,
+            256,
+        )));
+        let gemm = server.submit_gemm(small_gemm(6));
+        // Dispatch 1 runs the prefill and re-enqueues the session *behind*
+        // the GEMM; dispatch 2 is therefore the GEMM, 255 steps early.
+        for _ in 0..2 {
+            let batch = next_batch(&server.shared).expect("two jobs are queued");
+            execute_batch(&server.shared, batch);
+        }
+        assert!(gemm.is_ready());
+        assert!(!session.is_ready());
+        assert_eq!(server.report().dispatches, 2);
     }
 
     #[test]

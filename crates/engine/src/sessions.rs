@@ -16,8 +16,11 @@
 //! different packing degree and placement than prefill-sized shapes. A
 //! decode-marked step therefore plans on the measured per-phase path
 //! ([`localut::plan::Planner::plan_measured`]), while prefill keeps the
-//! closed-form fixed-`k` plan — the two phases resolve to *different*
-//! LUT-cache keys, observable via [`crate::Engine::session_plans`].
+//! closed-form fixed-`k` plan (pinned by `localut::plan`'s
+//! `measured_plan_separates_decode_from_prefill`). Sessions are timed
+//! **analytically** ([`dnn::InferenceSim::run`]): no step builds, reads
+//! or keys a LUT image, so a session never touches the engine's LUT
+//! cache.
 //!
 //! ## Determinism
 //!
@@ -54,17 +57,22 @@
 //! # Ok::<(), engine::EngineError>(())
 //! ```
 
-use crate::cachelife::lru::{CacheOutcome, LutKey};
 use crate::response::picojoules;
 use crate::{Engine, EngineError};
 use dnn::inference::InferenceReport;
-use dnn::layer::layer_gemms;
-use dnn::Workload;
-use localut::plan::ExecutionPlan;
-use localut::tiling::TileGrid;
-use localut::{GemmDims, Method};
+use dnn::{ModelKind, Workload};
+use localut::Method;
 use pim_sim::{Stats, SystemProfile};
 use quant::BitConfig;
+
+/// The most steps (one prefill plus one per decode token) a session may
+/// decompose into; a longer one is an [`EngineError::InvalidRequest`] at
+/// submission. `decode_tokens` is a client-chosen `u32` off the wire, so
+/// the bound is checked before anything proportional to it exists, and
+/// steps are generated one at a time, never materialised as a list.
+/// (OPT's position table ends at 2048 tokens; 4096 is past anything the
+/// modelled decoders generate.)
+pub const MAX_SESSION_STEPS: usize = 4096;
 
 /// One decoder serving session: a workload the scheduler decomposes into
 /// independently schedulable steps (see the [module docs](self)).
@@ -148,43 +156,6 @@ impl SessionResponse {
     }
 }
 
-/// The per-phase execution plans a session resolves to — the paper's
-/// fig. 13/fig. 19 observation made concrete: prefill (token-parallel,
-/// wide `n`) and decode (one token per sample, skinny `n`) pick their
-/// own packing degree and placement, hence their own LUT-cache keys.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionPlans {
-    /// Plan for the representative prefill-phase tile (closed-form
-    /// fixed-`k` path, matching the monolithic prefill).
-    pub prefill: ExecutionPlan,
-    /// Plan for the representative decode-step tile (measured per-phase
-    /// path, [`localut::plan::Planner::plan_measured`]).
-    pub decode: ExecutionPlan,
-}
-
-impl SessionPlans {
-    /// The LUT-cache key the prefill-phase plan resolves to.
-    #[must_use]
-    pub fn prefill_key(&self) -> LutKey {
-        plan_key(&self.prefill)
-    }
-
-    /// The LUT-cache key the decode-phase plan resolves to.
-    #[must_use]
-    pub fn decode_key(&self) -> LutKey {
-        plan_key(&self.decode)
-    }
-}
-
-fn plan_key(plan: &ExecutionPlan) -> LutKey {
-    LutKey {
-        wf: plan.wf,
-        af: plan.af,
-        p: plan.p,
-        placement: plan.placement,
-    }
-}
-
 /// What one [`SessionJob::advance`] call produced.
 pub(crate) enum StepOutcome {
     /// The step completed; the session has more steps and must re-enter
@@ -201,7 +172,8 @@ pub(crate) enum StepOutcome {
 pub(crate) struct SessionJob {
     method: Method,
     bits: BitConfig,
-    steps: Vec<Workload>,
+    workload: Workload,
+    steps: usize,
     next: usize,
     reports: Vec<InferenceReport>,
     merged: SystemProfile,
@@ -211,26 +183,59 @@ pub(crate) struct SessionJob {
 }
 
 impl SessionJob {
-    /// Decomposes `request` against `engine`'s defaults.
-    pub(crate) fn new(engine: &Engine, request: &SessionRequest) -> SessionJob {
-        SessionJob {
+    /// Decomposes `request` against `engine`'s defaults. The step count
+    /// mirrors [`Workload::session_steps`] without building the list.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidRequest`] for a session longer than
+    /// [`MAX_SESSION_STEPS`].
+    pub(crate) fn new(
+        engine: &Engine,
+        request: &SessionRequest,
+    ) -> Result<SessionJob, EngineError> {
+        let workload = &request.workload;
+        let decodes = if workload.step.is_none() && workload.model.kind == ModelKind::Opt {
+            workload.decode_tokens as usize
+        } else {
+            0
+        };
+        if decodes >= MAX_SESSION_STEPS {
+            return Err(EngineError::InvalidRequest(format!(
+                "session of {decodes} decode tokens exceeds the {MAX_SESSION_STEPS}-step bound"
+            )));
+        }
+        Ok(SessionJob {
             method: request.method.unwrap_or(engine.method),
             bits: request.bits.unwrap_or(engine.bits),
-            steps: request.workload.session_steps(),
+            workload: workload.clone(),
+            steps: 1 + decodes,
             next: 0,
             reports: Vec::new(),
             merged: SystemProfile::default(),
             stats: Stats::default(),
             ttft_femtos: 0,
             decode_step_femtos: Vec::new(),
+        })
+    }
+
+    /// Step `self.next` of [`Workload::session_steps`], generated on
+    /// demand: a step-marked workload is its own only step; otherwise the
+    /// prefill, then one decode step per token over a growing KV context.
+    fn next_step(&self) -> Workload {
+        let Workload { model, batch, .. } = &self.workload;
+        match self.next {
+            0 if self.workload.step.is_some() => self.workload.clone(),
+            0 => Workload::prefill(model.clone(), *batch),
+            i => Workload::decode_step(model.clone(), *batch, model.seq_len + i - 1),
         }
     }
 
     /// Executes the next step and folds it into the aggregates, exactly
     /// as [`dnn::InferenceSim::run_batch`] folds independent workloads.
     pub(crate) fn advance(&mut self, engine: &Engine) -> Result<StepOutcome, EngineError> {
-        let step = &self.steps[self.next];
-        let report = engine.sim.run(self.method, self.bits, step)?;
+        let step = self.next_step();
+        let report = engine.sim.run(self.method, self.bits, &step)?;
         let mut ledger = report.profile.host.ledger().clone();
         ledger.merge(report.profile.pim.ledger());
         let step_stats = Stats::from_ledger(&ledger);
@@ -244,7 +249,7 @@ impl SessionJob {
         self.stats.merge(&step_stats);
         self.reports.push(report);
         self.next += 1;
-        if self.next < self.steps.len() {
+        if self.next < self.steps {
             return Ok(StepOutcome::Continue);
         }
         let energy = engine
@@ -263,15 +268,6 @@ impl SessionJob {
     }
 }
 
-impl std::fmt::Debug for SessionJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionJob")
-            .field("next", &self.next)
-            .field("steps", &self.steps.len())
-            .finish_non_exhaustive()
-    }
-}
-
 impl Engine {
     /// Runs one session to completion on the calling thread: every step
     /// in order through the same state machine the scheduler advances
@@ -282,77 +278,15 @@ impl Engine {
     /// # Errors
     ///
     /// Kernel feasibility errors of the failing step;
-    /// [`EngineError::InvalidRequest`] for a workload that decomposes to
-    /// no steps (impossible for the public constructors).
+    /// [`EngineError::InvalidRequest`] for a session longer than
+    /// [`MAX_SESSION_STEPS`].
     pub fn infer_session(&self, request: &SessionRequest) -> Result<SessionResponse, EngineError> {
-        let mut job = SessionJob::new(self, request);
-        if job.steps.is_empty() {
-            return Err(EngineError::InvalidRequest(
-                "session workload decomposes to no steps".to_owned(),
-            ));
-        }
+        let mut job = SessionJob::new(self, request)?;
         loop {
             if let StepOutcome::Done(response) = job.advance(self)? {
                 return Ok(*response);
             }
         }
-    }
-
-    /// Resolves the session's per-phase execution plans: the plan of the
-    /// representative (largest) layer GEMM tile of each phase, sharded
-    /// across the engine's full DPU fleet. Purely analytic — no LUT
-    /// image is built or cached (see [`Engine::warm_session`] for that),
-    /// though repeated shapes return memoized plans
-    /// ([`crate::cachelife::lru`]; bitwise equal to a recompute).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Gemm`] when no feasible plan exists for a phase at
-    /// the session's bit configuration.
-    pub fn session_plans(&self, request: &SessionRequest) -> Result<SessionPlans, EngineError> {
-        let bits = request.bits.unwrap_or(self.bits);
-        let (wf, af) = (bits.weight_format(), bits.activation_format());
-        let model = &request.workload.model;
-        let n_dpus = self.sim.dist.system.config().n_dpus();
-        let tile = |tokens: usize| -> GemmDims {
-            let dims = layer_gemms(model, tokens.max(1))
-                .into_iter()
-                .max_by_key(|g| g.dims.m * g.dims.k * g.dims.n)
-                .map(|g| g.dims)
-                .unwrap_or(GemmDims { m: 1, k: 1, n: 1 });
-            TileGrid::choose(dims, n_dpus).tile_dims(dims)
-        };
-        let prefill_tile = tile(request.workload.batch * model.seq_len);
-        let decode_tile = tile(request.workload.batch);
-        Ok(SessionPlans {
-            prefill: self.memo_plan(prefill_tile, wf, af, Some(self.gemm.k_slices))?,
-            decode: self.memo_plan_measured(decode_tile, wf, af)?,
-        })
-    }
-
-    /// Builds (or fetches) the two per-phase LUT images a session's
-    /// plans resolve to — the software twin of the paper's §V-A one-time
-    /// broadcast, applied per phase. Explicit because a prefill-phase
-    /// image can run to millions of entries: callers opt into the build
-    /// cost instead of every session paying it.
-    ///
-    /// Returns `None` for LUT-free methods (nothing to warm).
-    ///
-    /// # Errors
-    ///
-    /// Plan-resolution or LUT-construction errors.
-    pub fn warm_session(
-        &self,
-        request: &SessionRequest,
-    ) -> Result<Option<(CacheOutcome, CacheOutcome)>, EngineError> {
-        let method = request.method.unwrap_or(self.method);
-        if !matches!(method, Method::LoCaLut | Method::OpLcRc) {
-            return Ok(None);
-        }
-        let plans = self.session_plans(request)?;
-        let (_, prefill) = self.cache.get_or_build(plans.prefill_key())?;
-        let (_, decode) = self.cache.get_or_build(plans.decode_key())?;
-        Ok(Some((prefill, decode)))
     }
 }
 
@@ -406,47 +340,29 @@ mod tests {
     }
 
     #[test]
-    fn session_plans_separate_prefill_from_decode() {
-        // At the engine default (W1A3, OPT-125M), the prefill tile is
-        // wide (batch × seq_len tokens split across 2048 DPUs) while the
-        // decode tile is one token per sample — the phases resolve to
-        // different plans, hence different LUT-cache keys.
-        let engine = Engine::upmem();
-        let request = SessionRequest::new(Workload::with_decode(ModelConfig::opt_125m(), 2, 4));
-        let plans = engine.session_plans(&request).unwrap();
-        assert_ne!(
-            plans.prefill_key(),
-            plans.decode_key(),
-            "prefill {:?} vs decode {:?}",
-            plans.prefill,
-            plans.decode
-        );
-        // Purely analytic: resolving plans touched no cache entry.
-        assert_eq!(engine.lut_cache_stats().lookups(), 0);
-        // Deterministic: re-resolving yields the identical plans.
-        assert_eq!(engine.session_plans(&request).unwrap(), plans);
-    }
-
-    #[test]
-    fn warm_session_builds_both_phase_images() {
-        // W2A3 keeps both phase images small (prefill plans Streaming
-        // p = 4, decode BufferResident p = 3 at int2 weights), so the
-        // warming path is testable without a multi-second build.
-        let engine = Engine::builder().bits(BitConfig { bw: 2, ba: 3 }).build();
-        let request = SessionRequest::new(Workload::with_decode(ModelConfig::opt_125m(), 2, 2));
-        let plans = engine.session_plans(&request).unwrap();
-        assert_ne!(plans.prefill_key(), plans.decode_key());
-        let first = engine.warm_session(&request).unwrap().unwrap();
-        assert_eq!(first, (CacheOutcome::Miss, CacheOutcome::Miss));
-        let again = engine.warm_session(&request).unwrap().unwrap();
-        assert_eq!(again, (CacheOutcome::Hit, CacheOutcome::Hit));
-        assert_eq!(engine.lut_cache_stats().entries, 2);
-        // LUT-free methods have nothing to warm.
+    fn sessions_past_the_step_bound_are_rejected_before_any_step_runs() {
+        let engine = Engine::builder().threads(1).banks(2).build();
+        let session = |tokens: usize| {
+            SessionRequest::new(Workload::with_decode(
+                ModelConfig::opt_125m(),
+                1,
+                u32::try_from(tokens).unwrap(),
+            ))
+        };
+        // The bound counts the prefill: MAX - 1 decode tokens still fit.
+        let longest = SessionJob::new(&engine, &session(MAX_SESSION_STEPS - 1)).unwrap();
+        assert_eq!(longest.steps, MAX_SESSION_STEPS);
+        for tokens in [MAX_SESSION_STEPS, u32::MAX as usize] {
+            let err = engine.infer_session(&session(tokens)).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidRequest(_)), "{tokens}");
+        }
+        // Only decoders decode: a BERT "session" of any length is one step.
+        let bert = Workload::with_decode(ModelConfig::bert_base(), 1, u32::MAX);
         assert_eq!(
-            engine
-                .warm_session(&request.clone().with_method(Method::NaivePim))
-                .unwrap(),
-            None
+            SessionJob::new(&engine, &SessionRequest::new(bert))
+                .unwrap()
+                .steps,
+            1
         );
     }
 

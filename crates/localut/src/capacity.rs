@@ -122,13 +122,6 @@ pub fn max_p_localut(wf: NumericFormat, af: NumericFormat, budget: u64) -> u32 {
     max_p_by(|p| localut_bytes(wf, af, p), budget)
 }
 
-/// Largest `p ≥ 1` whose canonical LUT alone fits `budget` bytes (the
-/// OP+LC design point, which reorders weights in software).
-#[must_use]
-pub fn max_p_canonical_only(wf: NumericFormat, af: NumericFormat, budget: u64) -> u32 {
-    max_p_by(|p| canonical_lut_bytes(wf, af, p), budget)
-}
-
 /// Largest `p ≥ 1` whose operation-packed LUT fits `budget` bytes.
 #[must_use]
 pub fn max_p_op(wf: NumericFormat, af: NumericFormat, budget: u64) -> u32 {

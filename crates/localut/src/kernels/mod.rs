@@ -26,9 +26,8 @@
 //! activation panel. The LUT arms all execute the one blocked driver of
 //! the private `gather` module, monomorphised over four small gathers.
 //! [`BankKernel`] is the construct-once handle (a spec plus its optional
-//! [`SharedLuts`]) that bank-parallel workers share; [`par_run`] is the
-//! multi-threaded entry point (see the `runtime` crate for the full
-//! executor with per-bank profiles).
+//! [`SharedLuts`]) that bank-parallel workers share; running one GEMM on
+//! several host threads is the `runtime` crate's `ParallelExecutor`.
 
 mod gather;
 mod spec;
@@ -393,93 +392,4 @@ impl BankKernel {
     ) -> Result<GemmResult, LocaLutError> {
         self.spec.run(w, a, self.luts.as_ref(), panel)
     }
-}
-
-/// Multi-threaded functional GEMM: the parallel twin of [`GemmConfig::run`].
-///
-/// The activation matrix is split into `threads` contiguous column chunks;
-/// scoped worker threads each run one chunk through a shared [`BankKernel`]
-/// (one LUT build, zero copies of the LUT images) and the outputs are
-/// scattered back into place. Because every kernel is bit-exact and its
-/// profile is data-independent (`run().profile == cost(dims)`), the result
-/// is **bit-identical** to the serial path in both values and profile, for
-/// any thread count.
-///
-/// This parallelizes the *wall-clock* execution of the functional
-/// simulation on the host; for the simulated bank-parallel timing model
-/// (per-bank profiles, associative stats merging) use the `runtime` crate's
-/// `ParallelExecutor`, which builds on the same [`BankKernel`].
-///
-/// # Errors
-///
-/// Shape, format, budget, or planning errors (see [`LocaLutError`]).
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (kernel internals do not panic on
-/// validated inputs).
-///
-/// # Examples
-///
-/// ```
-/// use localut::gemm::{GemmConfig, Method};
-/// use localut::kernels::par_run;
-/// use quant::{NumericFormat, Quantizer};
-///
-/// let wq = Quantizer::symmetric(NumericFormat::Int(2));
-/// let aq = Quantizer::symmetric(NumericFormat::Int(3));
-/// let w = wq.quantize_matrix(&[1.0, -1.0, 0.5, -0.5, 1.0, 0.0], 2, 3)?;
-/// let a = aq.quantize_matrix(&[3.0, -3.0, 1.0, 0.0, -2.0, 2.0], 3, 2)?;
-///
-/// let cfg = GemmConfig::upmem();
-/// let serial = cfg.run(Method::LoCaLut, &w, &a)?;
-/// let parallel = par_run(&cfg, Method::LoCaLut, &w, &a, 2)?;
-/// assert_eq!(parallel.values, serial.values);
-/// assert_eq!(parallel.profile, serial.profile);
-/// # Ok::<(), localut::LocaLutError>(())
-/// ```
-pub fn par_run(
-    cfg: &GemmConfig,
-    method: Method,
-    w: &QMatrix,
-    a: &QMatrix,
-    threads: usize,
-) -> Result<GemmResult, LocaLutError> {
-    let dims = GemmDims::of(w, a)?;
-    let bank = BankKernel::build(cfg, method, w.format(), a.format(), dims)?;
-    let threads = threads.clamp(1, dims.n.max(1));
-    if threads == 1 {
-        return bank.run(w, a);
-    }
-    let chunk = dims.n.div_ceil(threads);
-    let tiles: Vec<(usize, GemmResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| (t * chunk, dims.n.min((t + 1) * chunk)))
-            .filter(|(n0, n1)| n0 < n1)
-            .map(|(n0, n1)| {
-                let bank = &bank;
-                scope.spawn(move || {
-                    let tile = a.submatrix(0..dims.k, n0..n1);
-                    bank.run(w, &tile).map(|r| (n0, r))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_run worker panicked"))
-            .collect::<Result<_, _>>()
-    })?;
-    let mut values = vec![0i32; dims.m * dims.n];
-    for (n0, tile) in &tiles {
-        for m in 0..dims.m {
-            let src = &tile.values[m * tile.dims.n..(m + 1) * tile.dims.n];
-            values[m * dims.n + n0..m * dims.n + n0 + tile.dims.n].copy_from_slice(src);
-        }
-    }
-    Ok(GemmResult {
-        values,
-        dims,
-        // Data-independent profiles make the serial cost twin exact.
-        profile: bank.cost(dims),
-    })
 }

@@ -348,27 +348,3 @@ fn bank_kernel_reports_method_and_p_for_every_arm() {
         assert_eq!(bank.run_panel(&w, &a, panel.as_ref()).unwrap(), out);
     }
 }
-
-#[test]
-fn par_run_is_bit_identical_to_serial_for_all_methods() {
-    let (w, a) = operands(6, 12, 5, I2, I3);
-    let cfg = GemmConfig::upmem();
-    for method in Method::ALL {
-        let serial = cfg.run(method, &w, &a).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let par = par_run(&cfg, method, &w, &a, threads).unwrap();
-            assert_eq!(par.values, serial.values, "{method} values @{threads}");
-            assert_eq!(par.profile, serial.profile, "{method} profile @{threads}");
-        }
-    }
-}
-
-#[test]
-fn par_run_handles_more_threads_than_columns() {
-    let (w, a) = operands(3, 8, 2, I2, I3);
-    let cfg = GemmConfig::upmem();
-    let serial = cfg.run(Method::OpLcRc, &w, &a).unwrap();
-    let par = par_run(&cfg, Method::OpLcRc, &w, &a, 64).unwrap();
-    assert_eq!(par.values, serial.values);
-    assert_eq!(par.profile, serial.profile);
-}

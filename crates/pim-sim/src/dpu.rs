@@ -1,18 +1,18 @@
-//! One DPU: a DRAM bank, a WRAM buffer, an in-order core, and a ledger.
+//! One DPU: a DRAM bank's row buffer, an in-order core's cost table, and
+//! a ledger.
 //!
-//! Kernels drive a [`Dpu`] by (1) reserving bank/WRAM capacity and (2)
-//! charging events (DRAM streams, instruction sequences, profiled lookup
-//! composites) against a [`Category`]. The DPU turns events into simulated
-//! seconds using the calibrated timing model and records everything in a
-//! [`CycleLedger`].
+//! Kernels drive a [`Dpu`] by charging events (DRAM streams, instruction
+//! sequences, profiled lookup composites) against a [`Category`]. The DPU
+//! turns events into simulated seconds using the calibrated timing model
+//! and records everything in a [`CycleLedger`]. It allocates nothing:
+//! [`DpuConfig`] carries the capacities and LUT budgets, and whether a
+//! kernel's tables fit them is decided in `localut::capacity`.
 
-use crate::dram::{BankRegion, DramBank};
+use crate::dram::DramBank;
 use crate::processor::Processor;
 use crate::stats::{Category, CycleLedger, Profile};
 use crate::timing::DpuTimings;
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::wram::{Wram, WramRegion};
-use crate::SimError;
 
 /// Static configuration of one DPU.
 #[derive(Debug, Clone)]
@@ -75,7 +75,6 @@ impl Default for DpuConfig {
 pub struct Dpu {
     cfg: DpuConfig,
     bank: DramBank,
-    wram: Wram,
     ledger: CycleLedger,
     trace: Option<Trace>,
 }
@@ -84,12 +83,10 @@ impl Dpu {
     /// Creates a DPU from a configuration.
     #[must_use]
     pub fn new(cfg: DpuConfig) -> Self {
-        let bank = DramBank::new(cfg.bank_bytes, cfg.timings.clone());
-        let wram = Wram::new(cfg.wram_bytes);
+        let bank = DramBank::new(cfg.timings.clone());
         Dpu {
             cfg,
             bank,
-            wram,
             ledger: CycleLedger::new(),
             trace: None,
         }
@@ -131,48 +128,6 @@ impl Dpu {
     #[must_use]
     pub fn config(&self) -> &DpuConfig {
         &self.cfg
-    }
-
-    /// The DRAM bank (for capacity queries).
-    #[must_use]
-    pub fn bank(&self) -> &DramBank {
-        &self.bank
-    }
-
-    /// The WRAM buffer (for capacity queries).
-    #[must_use]
-    pub fn wram(&self) -> &Wram {
-        &self.wram
-    }
-
-    /// Reserves DRAM bank capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BankExhausted`] when the bank is full.
-    pub fn bank_place(&mut self, name: &str, bytes: u64) -> Result<BankRegion, SimError> {
-        self.bank.place(name, bytes)
-    }
-
-    /// Reserves WRAM capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WramExhausted`] when WRAM is full, or
-    /// [`SimError::InvalidConfig`] on a duplicate region name.
-    pub fn wram_alloc(&mut self, name: &str, bytes: u64) -> Result<WramRegion, SimError> {
-        self.wram.alloc(name, bytes)
-    }
-
-    /// Frees a WRAM region by name.
-    pub fn wram_free(&mut self, name: &str) {
-        self.wram.free(name);
-    }
-
-    /// Releases all bank and WRAM reservations (between kernels/layers).
-    pub fn reset_allocations(&mut self) {
-        self.bank.reset_allocations();
-        self.wram.reset();
     }
 
     // ------------------------------------------------------------------
@@ -270,11 +225,6 @@ impl Dpu {
     pub fn profile(&self) -> Profile {
         Profile::from_ledger(self.ledger.clone())
     }
-
-    /// Clears the ledger (keeps allocations).
-    pub fn reset_ledger(&mut self) {
-        self.ledger = CycleLedger::new();
-    }
 }
 
 impl Default for Dpu {
@@ -338,26 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_ledger_keeps_allocations() {
-        let mut dpu = Dpu::upmem();
-        dpu.wram_alloc("lut", 1024).unwrap();
-        dpu.charge_instrs(10, Category::Other);
-        dpu.reset_ledger();
-        assert_eq!(dpu.elapsed_seconds(), 0.0);
-        assert_eq!(dpu.wram().used(), 1024);
-    }
-
-    #[test]
-    fn reset_allocations_frees_memories() {
-        let mut dpu = Dpu::upmem();
-        dpu.wram_alloc("a", 100).unwrap();
-        dpu.bank_place("b", 1000).unwrap();
-        dpu.reset_allocations();
-        assert_eq!(dpu.wram().used(), 0);
-        assert_eq!(dpu.bank().allocated(), 0);
-    }
-
-    #[test]
     fn tracing_records_events_in_order() {
         let mut dpu = Dpu::upmem();
         dpu.enable_trace(16);
@@ -387,12 +317,5 @@ mod tests {
         let mut dpu = Dpu::upmem();
         dpu.charge_instrs(5, Category::Compute);
         assert!(dpu.take_trace().is_none());
-    }
-
-    #[test]
-    fn wram_exhaustion_propagates() {
-        let mut dpu = Dpu::upmem();
-        let err = dpu.wram_alloc("too-big", 1 << 20).unwrap_err();
-        assert!(matches!(err, SimError::WramExhausted { .. }));
     }
 }

@@ -1,48 +1,26 @@
-//! DRAM bank model: capacity accounting, a row-buffer locality model, and
-//! streaming transfer costs.
+//! DRAM bank model: a row-buffer locality model and streaming transfer
+//! costs.
 //!
-//! A near-bank DPU owns one 64 MB DRAM bank (§II-A). The bank serves two
-//! roles in LoCaLUT:
-//!
-//! 1. **Capacity**: DRAM-resident LUTs, weight/activation/output tiles.
-//!    [`DramBank::place`] reserves capacity and fails when the bank is full —
-//!    this is how `p_DRAM` (the largest packing degree whose LUT fits in
-//!    roughly half the bank, §V-A) becomes a hard constraint.
-//! 2. **Bandwidth**: streaming reads/writes through the DMA engine at
-//!    0.5 B/cycle, with a row-activation charge when a transfer crosses DRAM
-//!    rows.
+//! A near-bank DPU owns one 64 MB DRAM bank (§II-A). This module models its
+//! bandwidth: streaming reads/writes through the DMA engine at 0.5 B/cycle,
+//! with a row-activation charge when a transfer crosses DRAM rows. Its
+//! capacity is a budget ([`crate::DpuConfig::bank_lut_budget`]), not state.
 
 use crate::timing::DpuTimings;
-use crate::SimError;
 
 /// One DRAM bank attached to a DPU.
 #[derive(Debug, Clone)]
 pub struct DramBank {
-    capacity: u64,
-    allocated: u64,
     open_row: Option<u64>,
     row_activations: u64,
     timings: DpuTimings,
 }
 
-/// A named reservation of DRAM bank capacity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankRegion {
-    /// Debug name of the region ("canonical-lut", "weights", ...).
-    pub name: String,
-    /// Byte offset within the bank.
-    pub offset: u64,
-    /// Size in bytes.
-    pub bytes: u64,
-}
-
 impl DramBank {
-    /// Creates a bank with the given capacity in bytes.
+    /// Creates a bank streaming at the given timings.
     #[must_use]
-    pub fn new(capacity: u64, timings: DpuTimings) -> Self {
+    pub fn new(timings: DpuTimings) -> Self {
         DramBank {
-            capacity,
-            allocated: 0,
             open_row: None,
             row_activations: 0,
             timings,
@@ -52,52 +30,7 @@ impl DramBank {
     /// A 64 MB UPMEM bank.
     #[must_use]
     pub fn upmem() -> Self {
-        Self::new(64 * 1024 * 1024, DpuTimings::upmem())
-    }
-
-    /// Total capacity in bytes.
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently reserved.
-    #[must_use]
-    pub fn allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Bytes still available.
-    #[must_use]
-    pub fn available(&self) -> u64 {
-        self.capacity - self.allocated
-    }
-
-    /// Reserves `bytes` of bank capacity for a named region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BankExhausted`] if the bank does not have enough
-    /// free capacity.
-    pub fn place(&mut self, name: &str, bytes: u64) -> Result<BankRegion, SimError> {
-        if bytes > self.available() {
-            return Err(SimError::BankExhausted {
-                requested: bytes,
-                available: self.available(),
-            });
-        }
-        let offset = self.allocated;
-        self.allocated += bytes;
-        Ok(BankRegion {
-            name: name.to_owned(),
-            offset,
-            bytes,
-        })
-    }
-
-    /// Releases all reservations (e.g. between layers).
-    pub fn reset_allocations(&mut self) {
-        self.allocated = 0;
+        Self::new(DpuTimings::upmem())
     }
 
     /// Seconds to stream `bytes` starting at `offset` out of the bank,
@@ -121,15 +54,10 @@ impl DramBank {
         let row_bytes = self.timings.dram_row_bytes;
         let first_row = offset / row_bytes;
         let last_row = (offset + bytes - 1) / row_bytes;
-        let mut activations = 0u64;
         // Sequential streaming opens each touched row once; the first row is
         // free if it is already open.
-        for row in first_row..=last_row {
-            if self.open_row != Some(row) {
-                activations += 1;
-            }
-            self.open_row = Some(row);
-        }
+        let activations = last_row - first_row + 1 - u64::from(self.open_row == Some(first_row));
+        self.open_row = Some(last_row);
         self.row_activations += activations;
         let act_seconds =
             activations as f64 * self.timings.row_activate_cycles * self.timings.cycle_seconds();
@@ -153,38 +81,43 @@ impl Default for DramBank {
 mod tests {
     use super::*;
 
-    #[test]
-    fn upmem_bank_is_64mb() {
-        let bank = DramBank::upmem();
-        assert_eq!(bank.capacity(), 64 * 1024 * 1024);
-        assert_eq!(bank.allocated(), 0);
-    }
-
-    #[test]
-    fn place_reserves_and_exhausts() {
-        let mut bank = DramBank::new(1000, DpuTimings::upmem());
-        let a = bank.place("a", 600).unwrap();
-        assert_eq!(a.offset, 0);
-        assert_eq!(bank.available(), 400);
-        let err = bank.place("b", 500).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::BankExhausted {
-                requested: 500,
-                available: 400
+    /// The row-by-row walk the closed form in `stream_access` replaced,
+    /// kept here as its reference.
+    fn stream_access_by_loop(bank: &mut DramBank, offset: u64, bytes: u64) -> f64 {
+        if bytes == 0 {
+            return 0.0;
+        }
+        let t = bank.timings.clone();
+        let first_row = offset / t.dram_row_bytes;
+        let last_row = (offset + bytes - 1) / t.dram_row_bytes;
+        let mut activations = 0u64;
+        for row in first_row..=last_row {
+            if bank.open_row != Some(row) {
+                activations += 1;
             }
-        );
-        let b = bank.place("b", 400).unwrap();
-        assert_eq!(b.offset, 600);
-        assert_eq!(bank.available(), 0);
+            bank.open_row = Some(row);
+        }
+        bank.row_activations += activations;
+        let act_seconds = activations as f64 * t.row_activate_cycles * t.cycle_seconds();
+        t.dram_stream_seconds(bytes) + act_seconds
     }
 
     #[test]
-    fn reset_allocations_frees_everything() {
-        let mut bank = DramBank::new(100, DpuTimings::upmem());
-        bank.place("x", 100).unwrap();
-        bank.reset_allocations();
-        assert_eq!(bank.available(), 100);
+    fn closed_form_activations_equal_the_row_walk() {
+        let row = DpuTimings::upmem().dram_row_bytes;
+        for open_row in [None, Some(0), Some(7)] {
+            for bytes in [0, 1, row - 1, row, row + 1, 64 * row, 1_179_648] {
+                let mut closed = DramBank::upmem();
+                closed.open_row = open_row;
+                let mut walked = closed.clone();
+                let secs = closed.stream_read(0, bytes);
+                let expect = stream_access_by_loop(&mut walked, 0, bytes);
+                let case = format!("open_row {open_row:?}, {bytes} bytes");
+                assert_eq!(secs.to_bits(), expect.to_bits(), "{case}");
+                assert_eq!(closed.open_row, walked.open_row, "{case}");
+                assert_eq!(closed.row_activations(), walked.row_activations(), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! paper evaluates on a real UPMEM server (32 ranks of PIM-enabled DIMMs,
 //! 2048 DPUs); we do not have that hardware, so this crate models it:
 //!
-//! * [`DramBank`] — a 64 MB DRAM bank with a row buffer and a streaming
-//!   DRAM→WRAM DMA engine (0.5 B/cycle at 350 MHz, three-stage pipelined
-//!   access — the constants the paper profiles in §VI-I).
-//! * [`Wram`] — the 64 KB SRAM local buffer with single-cycle access and a
-//!   region allocator (LUTs, tiles, and scratch must all fit).
+//! * [`DramBank`] — a DRAM bank's row buffer and streaming DRAM→WRAM DMA
+//!   engine (0.5 B/cycle at 350 MHz, three-stage pipelined access — the
+//!   constants the paper profiles in §VI-I).
 //! * [`Processor`] — the in-order DPU core modelled by an instruction cost
 //!   table (UPMEM DPUs have no hardware 32-bit multiplier; 8-bit multiplies
 //!   are native, wider ones are multi-instruction).
-//! * [`Dpu`] — one bank + WRAM + core, with a per-category cycle ledger so
-//!   kernels can report the breakdowns of Fig. 16.
+//! * [`Dpu`] — one bank + core, with a per-category cycle ledger so
+//!   kernels can report the breakdowns of Fig. 16. [`DpuConfig`] carries the
+//!   64 MB bank / 64 KB WRAM capacities and their LUT budgets; the simulator
+//!   allocates nothing — whether a LUT fits is `localut::capacity`'s call.
 //! * [`PimSystem`] — ranks × banks topology with a host link model
 //!   (broadcast/scatter/gather through the host, as UPMEM requires).
 //! * [`EnergyModel`] — per-event energies turning a ledger into Joules
@@ -34,14 +34,12 @@
 //!
 //! let mut dpu = Dpu::new(DpuConfig::upmem());
 //! // Stream a 4 KiB weight tile from the DRAM bank into WRAM.
-//! let region = dpu.wram_alloc("wtile", 4096).unwrap();
 //! dpu.charge_dram_stream(4096, Category::DataTransfer);
 //! // Perform 1000 lookup+accumulate composites (12 instructions each).
 //! dpu.charge_lookup_accum(1000);
 //! let profile = dpu.profile();
 //! assert!(profile.total_seconds() > 0.0);
 //! assert!(profile.seconds(Category::Accumulate) > 0.0);
-//! drop(region);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +54,6 @@ pub mod stats;
 pub mod system;
 pub mod timing;
 pub mod trace;
-pub mod wram;
 
 pub use dpu::{Dpu, DpuConfig};
 pub use dram::DramBank;
@@ -66,25 +63,10 @@ pub use stats::{Category, CounterSnapshot, CycleLedger, Profile, Stats};
 pub use system::{PimSystem, SystemConfig, SystemProfile};
 pub use timing::DpuTimings;
 pub use trace::{Trace, TraceEvent, TraceKind};
-pub use wram::{Wram, WramError, WramRegion};
 
 /// Errors produced by the simulator's fallible operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A WRAM allocation failed (requested bytes, available bytes).
-    WramExhausted {
-        /// Bytes requested by the allocation.
-        requested: u64,
-        /// Bytes still available in WRAM.
-        available: u64,
-    },
-    /// A DRAM bank placement failed (requested bytes, bank capacity).
-    BankExhausted {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes available in the bank.
-        available: u64,
-    },
     /// Configuration was invalid (e.g. zero DPUs).
     InvalidConfig(String),
 }
@@ -92,20 +74,6 @@ pub enum SimError {
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            SimError::WramExhausted {
-                requested,
-                available,
-            } => write!(
-                f,
-                "wram allocation of {requested} bytes exceeds {available} available"
-            ),
-            SimError::BankExhausted {
-                requested,
-                available,
-            } => write!(
-                f,
-                "bank placement of {requested} bytes exceeds {available} available"
-            ),
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -247,14 +247,6 @@ impl Profile {
         Profile { ledger }
     }
 
-    /// In-place serial composition: folds `other` into this profile
-    /// without cloning the accumulated ledger. This is the fold primitive
-    /// for wide merges (a 2048-bank shard merge would otherwise clone the
-    /// accumulator once per bank through [`Profile::merged`]).
-    pub fn merge_from(&mut self, other: &Profile) {
-        self.ledger.merge(&other.ledger);
-    }
-
     /// Scales the profile by `n` repetitions.
     #[must_use]
     pub fn scaled(&self, n: u64) -> Profile {
@@ -283,7 +275,7 @@ const FEMTOS_PER_SECOND: f64 = 1e15;
 ///
 /// [`CycleLedger::merge`] adds `f64` seconds, and floating-point addition is
 /// not associative: folding per-bank ledgers in different orders (as a
-/// work-stealing runtime naturally would) can produce bitwise-different
+/// dynamically scheduled runtime naturally would) can produce bitwise-different
 /// totals. `Stats` fixes the accumulation by quantizing each category's
 /// seconds to integer femtoseconds **once** at ingest ([`Stats::from_profile`])
 /// and merging in exact integer arithmetic from then on, so
@@ -699,21 +691,6 @@ mod tests {
             phase.femtoseconds(Category::HostTransfer),
             as_bank.femtoseconds(Category::HostTransfer)
         );
-    }
-
-    #[test]
-    fn merge_from_equals_merged() {
-        let mut l1 = CycleLedger::new();
-        l1.charge(Category::Compute, 0.5);
-        l1.instructions = 3;
-        let mut l2 = CycleLedger::new();
-        l2.charge(Category::LutLoad, 0.25);
-        l2.dram_read_bytes = 64;
-        let a = Profile::from_ledger(l1);
-        let b = Profile::from_ledger(l2);
-        let mut in_place = a.clone();
-        in_place.merge_from(&b);
-        assert_eq!(in_place, a.merged(&b));
     }
 
     #[test]

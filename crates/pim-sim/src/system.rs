@@ -219,26 +219,6 @@ impl PimSystem {
         ledger.host_bytes = per_rank_bytes.iter().sum();
         Profile::from_ledger(ledger)
     }
-
-    /// Builds a host-side ledger for one transfer + compute phase.
-    #[must_use]
-    pub fn host_phase(
-        &self,
-        broadcast_bytes: u64,
-        scatter_bytes: u64,
-        gather_bytes: u64,
-        host_ops: u64,
-    ) -> Profile {
-        let mut ledger = CycleLedger::new();
-        let xfer = self.broadcast_seconds(broadcast_bytes)
-            + self.scatter_seconds(scatter_bytes)
-            + self.gather_seconds(gather_bytes);
-        ledger.charge(Category::HostTransfer, xfer);
-        ledger.charge(Category::HostCompute, self.host_ops_seconds(host_ops));
-        ledger.host_bytes = broadcast_bytes + scatter_bytes + gather_bytes;
-        ledger.host_ops = host_ops;
-        Profile::from_ledger(ledger)
-    }
 }
 
 #[cfg(test)]
@@ -288,19 +268,9 @@ mod tests {
     }
 
     #[test]
-    fn host_phase_ledger_accounts_events() {
-        let sys = PimSystem::upmem_server();
-        let p = sys.host_phase(1000, 2000, 3000, 500);
-        assert_eq!(p.ledger().host_bytes, 6000);
-        assert_eq!(p.ledger().host_ops, 500);
-        assert!(p.seconds(Category::HostTransfer) > 0.0);
-        assert!(p.seconds(Category::HostCompute) > 0.0);
-    }
-
-    #[test]
     fn system_profile_total_is_serial_sum() {
         let sys = PimSystem::upmem_server();
-        let host = sys.host_phase(1 << 20, 0, 0, 0);
+        let host = sys.rank_link_profile(&[1 << 20]);
         let mut pim_ledger = CycleLedger::new();
         pim_ledger.charge(Category::Compute, 0.5);
         let sp = SystemProfile {
@@ -316,7 +286,7 @@ mod tests {
     fn merged_profiles_add() {
         let sys = PimSystem::upmem_server();
         let a = SystemProfile {
-            host: sys.host_phase(100, 0, 0, 0),
+            host: sys.rank_link_profile(&[100]),
             pim: Profile::new(),
         };
         let b = a.clone();

@@ -101,13 +101,6 @@ impl DpuTimings {
     pub fn lut_pair_stream_seconds(&self, n: u64) -> f64 {
         self.lut_entry_pair_stream_seconds * n as f64
     }
-
-    /// Seconds for `n` lookup+accumulate composites using the profiled
-    /// `L_local` constant.
-    #[must_use]
-    pub fn lookup_accum_seconds_for(&self, n: u64) -> f64 {
-        self.lookup_accum_seconds * n as f64
-    }
 }
 
 impl Default for DpuTimings {

@@ -112,12 +112,6 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Consumes the buffer, returning the events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
 }
 
 #[cfg(test)]

@@ -14,17 +14,16 @@
 //! the activation-side group resolution instead of each redoing it
 //! (bitwise-identical results, DESIGN.md §12).
 //!
-//! Scheduling is work stealing: each worker owns a deque seeded with a
-//! contiguous block of shard ids, drains it from the front, and — once
-//! empty — steals the back half of a sibling's deque in one chunk of
-//! whole bank-shards, so ragged tile grids (2048-shard plans have edge
-//! tiles) cannot serialize the tail behind one worker.
+//! Scheduling is self-balancing: the workers share one atomic cursor over
+//! the shard ids and each claims the next unclaimed shard when it finishes
+//! its last, so ragged tile grids (2048-shard plans have edge tiles)
+//! cannot serialize the tail behind one worker.
 //!
 //! Determinism: results are keyed by shard id wherever they are produced,
 //! and both the value scatter and every ledger fold run in ascending
 //! shard id order after the pool joins — for ranked plans as a per-rank
 //! merge tree whose exact associativity makes it equal to the flat fold.
-//! Thread scheduling and steal timing therefore cannot change any output
+//! Thread scheduling and claim order therefore cannot change any output
 //! bit, and the 1-thread execution of the same plan is bitwise identical
 //! to the N-thread one.
 
@@ -34,16 +33,15 @@ use localut::kernels::BankKernel;
 use localut::{LocaLutError, Method};
 use pim_sim::{CycleLedger, EnergyBreakdown, EnergyModel, PimSystem, Profile, Stats};
 use quant::QMatrix;
-use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, **recovering** the data from a poisoned lock instead of
 /// propagating the panic — the stack-wide policy for state whose every
-/// critical section leaves it valid at each panic point: the executor's
-/// index deques (plain `VecDeque` operations, no user code under the
-/// lock), the engine's LUT cache, plan memo and scheduler queues, and the
-/// network front-end's counters and request log. One panicking worker
+/// critical section leaves it valid at each panic point: the engine's LUT
+/// cache, plan memo and scheduler queues, and the network front-end's
+/// counters and request log. One panicking worker
 /// must not wedge every other thread that shares the state.
 pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -255,25 +253,9 @@ impl ParallelExecutor {
         &self.system
     }
 
-    /// Executes `method` on one shard per worker (a `threads`-bank plan).
-    ///
-    /// # Errors
-    ///
-    /// Shape, format, budget, or planning errors.
-    pub fn execute(
-        &self,
-        method: Method,
-        w: &QMatrix,
-        a: &QMatrix,
-    ) -> Result<ParallelGemm, LocaLutError> {
-        let dims = GemmDims::of(w, a)?;
-        let plan = ShardPlan::for_banks(dims, u32::try_from(self.threads).unwrap_or(u32::MAX));
-        self.execute_plan(&plan, method, w, a)
-    }
-
-    /// Executes `method` over an explicit shard plan; shards are dealt to
-    /// the workers round-robin, so a plan may model many more banks than
-    /// there are host threads.
+    /// Executes `method` over an explicit shard plan; workers claim shards
+    /// one at a time, so a plan may model many more banks than there are
+    /// host threads.
     ///
     /// # Errors
     ///
@@ -448,17 +430,14 @@ impl ParallelExecutor {
     /// and returns the results in item order, regardless of scheduling —
     /// the building block batched multi-request serving uses.
     ///
-    /// Scheduling is **work stealing**: every worker owns a deque seeded
-    /// with a contiguous block of item indices; it drains its own deque
-    /// from the front and, when empty, steals the back half of a sibling's
-    /// deque (whole items — at full-machine scale, whole bank-shards — in
-    /// one chunk, so a steal amortizes its synchronization). Ragged work
-    /// therefore cannot serialize the tail behind one unlucky worker.
-    /// Results are keyed by item index and assembled ascending after the
-    /// pool joins, so *who* executed an item can never change any output
-    /// bit. When only one worker would run (a one-thread pool, or a single
-    /// item) the items are mapped on the calling thread and no thread is
-    /// spawned.
+    /// Scheduling is one shared cursor: a worker that finishes an item
+    /// claims the next unclaimed index (whole items — at full-machine
+    /// scale, whole bank-shards), so ragged work cannot serialize the tail
+    /// behind one unlucky worker. Results are keyed by item index and
+    /// assembled ascending after the pool joins, so *who* executed an item
+    /// can never change any output bit. When only one worker would run (a
+    /// one-thread pool, or a single item) the items are mapped on the
+    /// calling thread and no thread is spawned.
     ///
     /// # Panics
     ///
@@ -480,58 +459,30 @@ impl ParallelExecutor {
         F: Fn(&T) -> R + Sync,
     {
         // With more workers than items, the surplus workers would have
-        // nothing to own or steal — don't spawn threads for them.
+        // nothing to claim — don't spawn threads for them.
         let workers = self.threads.min(items.len().max(1));
-        // A lone worker has no sibling to steal from: run it on the
-        // calling thread instead of paying a spawn and a join per call.
+        // A lone worker runs on the calling thread instead of paying a
+        // spawn and a join per call.
         if workers == 1 {
             return items.iter().map(f).collect();
         }
-        // Seed each worker's deque with a contiguous index block (the
-        // first `rem` workers take one extra so blocks differ by ≤ 1).
-        let base = items.len() / workers;
-        let rem = items.len() % workers;
-        let mut start = 0;
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < rem);
-                let block = (start..start + len).collect();
-                start += len;
-                Mutex::new(block)
-            })
-            .collect();
-
+        // The cursor publishes no data (items are read-only, results
+        // travel through `join`), so `Relaxed` claims suffice.
+        let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = Vec::new();
         slots.resize_with(items.len(), || None);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|wid| {
-                    let (deques, f) = (&deques, &f);
+                .map(|_| {
+                    let (cursor, f) = (&cursor, &f);
                     scope.spawn(move || {
                         let mut produced: Vec<(usize, R)> = Vec::new();
-                        'work: loop {
-                            // Drain the owned deque front-to-back.
-                            while let Some(idx) = lock_recover(&deques[wid]).pop_front() {
-                                produced.push((idx, f(&items[idx])));
-                            }
-                            // Empty: scan siblings (nearest first) and
-                            // steal the back half of the first non-empty
-                            // deque found, as one chunk.
-                            for step in 1..workers {
-                                let victim = (wid + step) % workers;
-                                let mut stolen = {
-                                    let mut queue = lock_recover(&deques[victim]);
-                                    let keep = queue.len() - queue.len() / 2;
-                                    queue.split_off(keep)
-                                };
-                                if !stolen.is_empty() {
-                                    lock_recover(&deques[wid]).append(&mut stolen);
-                                    continue 'work;
-                                }
-                            }
-                            // Every deque is empty; in-flight items are
-                            // owned by the workers running them.
-                            break produced;
+                        loop {
+                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(idx) else {
+                                break produced;
+                            };
+                            produced.push((idx, f(item)));
                         }
                     })
                 })
@@ -561,13 +512,24 @@ mod tests {
         )
     }
 
+    /// One shard per worker: a `threads`-bank plan on a `threads`-worker pool.
+    fn execute(
+        threads: u32,
+        method: Method,
+        w: &QMatrix,
+        a: &QMatrix,
+    ) -> Result<ParallelGemm, LocaLutError> {
+        let plan = ShardPlan::for_banks(GemmDims::of(w, a)?, threads);
+        ParallelExecutor::new(threads as usize).execute_plan(&plan, method, w, a)
+    }
+
     #[test]
     fn execute_matches_serial_for_all_methods() {
         let (w, a) = operands(8, 12, 6, 42);
         let cfg = GemmConfig::upmem();
         for method in Method::ALL {
             let serial = cfg.run(method, &w, &a).unwrap();
-            let par = ParallelExecutor::new(4).execute(method, &w, &a).unwrap();
+            let par = execute(4, method, &w, &a).unwrap();
             assert_eq!(par.values, serial.values, "{method}");
             assert!(par.per_bank.len() <= 4);
             assert!(par.stats.banks() as usize == par.per_bank.len());
@@ -593,9 +555,7 @@ mod tests {
     #[test]
     fn critical_path_bounded_by_total_work() {
         let (w, a) = operands(16, 8, 8, 3);
-        let par = ParallelExecutor::new(4)
-            .execute(Method::OpLcRc, &w, &a)
-            .unwrap();
+        let par = execute(4, Method::OpLcRc, &w, &a).unwrap();
         let cp = par.critical_path_seconds();
         assert!(cp > 0.0);
         assert!(cp <= par.total_bank_seconds());
@@ -608,9 +568,7 @@ mod tests {
     #[test]
     fn merged_stats_equal_profile_fold() {
         let (w, a) = operands(6, 10, 4, 11);
-        let par = ParallelExecutor::new(2)
-            .execute(Method::LoCaLut, &w, &a)
-            .unwrap();
+        let par = execute(2, Method::LoCaLut, &w, &a).unwrap();
         let mut expect = Stats::default();
         for bank in &par.per_bank {
             expect.merge(&Stats::from_profile(&bank.profile));
@@ -622,21 +580,15 @@ mod tests {
     #[test]
     fn energy_of_merged_work_is_positive() {
         let (w, a) = operands(6, 10, 4, 11);
-        let par = ParallelExecutor::new(2)
-            .execute(Method::LoCaLut, &w, &a)
-            .unwrap();
+        let par = execute(2, Method::LoCaLut, &w, &a).unwrap();
         assert!(par.energy(&EnergyModel::upmem()).total_j() > 0.0);
     }
 
     #[test]
     fn checksum_is_invariant_to_worker_count_and_sensitive_to_values() {
         let (w, a) = operands(6, 10, 4, 5);
-        let one = ParallelExecutor::new(1)
-            .execute(Method::OpLcRc, &w, &a)
-            .unwrap();
-        let four = ParallelExecutor::new(4)
-            .execute(Method::OpLcRc, &w, &a)
-            .unwrap();
+        let one = execute(1, Method::OpLcRc, &w, &a).unwrap();
+        let four = execute(4, Method::OpLcRc, &w, &a).unwrap();
         assert_eq!(one.checksum(), values_checksum(&one.values));
         assert_eq!(one.checksum(), four.checksum());
         let mut tweaked = one.values.clone();
@@ -689,9 +641,7 @@ mod tests {
     #[test]
     fn flat_plan_has_no_rank_level_outputs() {
         let (w, a) = operands(8, 12, 6, 42);
-        let par = ParallelExecutor::new(2)
-            .execute(Method::OpLcRc, &w, &a)
-            .unwrap();
+        let par = execute(2, Method::OpLcRc, &w, &a).unwrap();
         assert!(par.rank_stats.is_empty());
         assert!(par.link_phase.is_none());
     }
@@ -714,9 +664,9 @@ mod tests {
 
     #[test]
     fn map_steals_ragged_work_without_reordering() {
-        // Item 0 is a straggler: the worker owning it sleeps while the
-        // others go idle and steal the rest of its block. Results must
-        // still come back in item order, every run.
+        // Item 0 is a straggler: the worker that claimed it sleeps while
+        // the others claim everything else. Results must still come back
+        // in item order, every run.
         let items: Vec<u64> = (0..64).collect();
         let baseline: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         for _ in 0..5 {
@@ -789,7 +739,7 @@ mod tests {
     fn infeasible_method_errors_cleanly() {
         let w = QMatrix::pseudo_random(4, 4, NumericFormat::Int(16), 1);
         let a = QMatrix::pseudo_random(4, 2, NumericFormat::Int(16), 2);
-        let err = ParallelExecutor::new(2).execute(Method::LoCaLut, &w, &a);
+        let err = execute(2, Method::LoCaLut, &w, &a);
         assert!(err.is_err());
     }
 }

@@ -10,9 +10,9 @@
 //!   span the full `K` reduction. At full-machine scale the plan is
 //!   two-level: [`ShardPlan::for_ranks`] groups consecutive bank-shards
 //!   under ranks via a [`RankPlan`] (the paper's server: 32 × 64 = 2048).
-//! * [`ParallelExecutor`] — a work-stealing worker pool on
-//!   `std::thread::scope` (no new dependencies): per-worker deques of
-//!   shard ids with chunked steals, so ragged 2048-shard plans don't
+//! * [`ParallelExecutor`] — a self-balancing worker pool on
+//!   `std::thread::scope` (no new dependencies): workers claim shard ids
+//!   from one shared atomic cursor, so ragged 2048-shard plans don't
 //!   serialize their tail. Workers run shards through a shared, read-only
 //!   [`localut::kernels::BankKernel`] — one canonical + reordering LUT
 //!   build behind `Arc`, mirroring the one-time §V-A broadcast — while
@@ -26,17 +26,17 @@
 //!   ([`pim_sim::PimSystem::rank_link_profile`]).
 //!
 //! Determinism is a design invariant, not an accident: results are keyed
-//! by shard id no matter which worker produced them (steals included),
-//! and every merge runs in ascending id order, so for a fixed plan the
-//! executor's output is bitwise identical for **any** worker count — the
-//! property the end-to-end and property tests pin down.
+//! by shard id no matter which worker claimed them, and every merge runs
+//! in ascending id order, so for a fixed plan the executor's output is
+//! bitwise identical for **any** worker count — the property the
+//! end-to-end and property tests pin down.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use localut::{GemmConfig, Method};
+//! use localut::{GemmConfig, GemmDims, Method};
 //! use quant::{NumericFormat, Quantizer};
-//! use runtime::ParallelExecutor;
+//! use runtime::{ParallelExecutor, ShardPlan};
 //!
 //! let wq = Quantizer::symmetric(NumericFormat::Bipolar);
 //! let aq = Quantizer::symmetric(NumericFormat::Int(3));
@@ -46,7 +46,8 @@
 //! // Serial reference...
 //! let serial = GemmConfig::upmem().run(Method::LoCaLut, &w, &a)?;
 //! // ...and the same GEMM sharded across 4 bank workers.
-//! let parallel = ParallelExecutor::new(4).execute(Method::LoCaLut, &w, &a)?;
+//! let plan = ShardPlan::for_banks(GemmDims::of(&w, &a)?, 4);
+//! let parallel = ParallelExecutor::new(4).execute_plan(&plan, Method::LoCaLut, &w, &a)?;
 //! assert_eq!(parallel.values, serial.values); // bit-exact
 //! assert!(parallel.critical_path_seconds() <= parallel.total_bank_seconds());
 //! # Ok::<(), localut::LocaLutError>(())

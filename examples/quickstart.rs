@@ -1,5 +1,5 @@
 //! Quickstart: quantize a small GEMM and serve it through the unified
-//! `engine` session API — every method verified bit-exact against the
+//! `engine` API — every method verified bit-exact against the
 //! reference, repeated requests hitting the LUT cache, and simulated
 //! times compared.
 //!
@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use engine::{Engine, GemmRequest};
+use engine::{Engine, GemmRequest, ServeRecorder};
 use localut::gemm::{reference_gemm, GemmDims, Method};
 use quant::{BitConfig, Quantizer};
 use rand::rngs::StdRng;
@@ -36,21 +36,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let scale = w.scale() * a.scale();
 
-    // 2. Build one engine, open a session, and serve every method; all
-    //    must agree exactly with the reference GEMM.
+    // 2. Build one engine and serve every method, recording each verdict
+    //    the way the serving scheduler does; all must agree exactly with
+    //    the reference GEMM.
     let engine = Engine::builder().threads(2).banks(4).build();
-    let mut session = engine.session();
+    let mut served = ServeRecorder::new();
+    let mut submit = |request: &GemmRequest| {
+        let result = engine.submit(request);
+        served.record_gemm(&result);
+        result
+    };
     let reference: Vec<i32> = reference_gemm(&w, &a)?;
     println!(
         "  {:<10}  {:>14}  {:>9}",
         "method", "sim time (s)", "exact?"
     );
-    let naive =
-        session.submit(&GemmRequest::new(w.clone(), a.clone()).with_method(Method::NaivePim))?;
+    let naive = submit(&GemmRequest::new(w.clone(), a.clone()).with_method(Method::NaivePim))?;
     let naive_seconds = naive.stats.total_seconds();
     for method in Method::ALL {
-        let response =
-            session.submit(&GemmRequest::new(w.clone(), a.clone()).with_method(method))?;
+        let response = submit(&GemmRequest::new(w.clone(), a.clone()).with_method(method))?;
         let exact = response.values == reference;
         println!(
             "  {:<10}  {:>14.6e}  {:>9}  ({:.2}x vs naive)",
@@ -61,18 +65,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         assert!(exact, "{method} diverged from the reference!");
     }
+    let summary = served.summary();
     println!(
         "\n  session: {} requests, {:.3e} J modeled, {} LUT-cache hits / {} misses",
-        session.requests(),
-        session.energy_pj() as f64 * 1e-12,
+        summary.requests,
+        summary.energy_pj as f64 * 1e-12,
         engine.lut_cache_stats().hits,
         engine.lut_cache_stats().misses,
     );
 
     // 3. A repeated request is served from the cached LUT images and is
     //    bitwise identical.
-    let first = session.submit(&GemmRequest::new(w.clone(), a.clone()))?;
-    let again = session.submit(&GemmRequest::new(w, a))?;
+    let first = engine.submit(&GemmRequest::new(w.clone(), a.clone()))?;
+    let again = engine.submit(&GemmRequest::new(w, a))?;
     assert_eq!(first.values, again.values);
     assert_eq!(first.checksum, again.checksum);
     assert_eq!(again.lut_cache, Some(engine::CacheOutcome::Hit));
@@ -105,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a4 =
         Quantizer::symmetric(cfg4.activation_format()).quantize_matrix(&adata, dims.k, dims.n)?;
     let scale4 = w4.scale() * a4.scale();
-    let out4 = session.submit(&GemmRequest::new(w4, a4))?;
+    let out4 = engine.submit(&GemmRequest::new(w4, a4))?;
     let err4: f32 = out4
         .values
         .iter()

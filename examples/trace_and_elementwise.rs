@@ -6,13 +6,13 @@
 //! 2. **Elementwise packed LUTs** (§VII-A) — LUT reconfigurability beyond
 //!    inner products: packed bitwise XOR and saturating add.
 //! 3. **Serving-session aggregation** — the same event machinery rolled up
-//!    by the `engine` session API: repeated requests, one LUT build.
+//!    by the `engine`'s `ServeRecorder`: repeated requests, one LUT build.
 //!
 //! ```sh
 //! cargo run --release --example trace_and_elementwise
 //! ```
 
-use engine::{Engine, GemmRequest};
+use engine::{Engine, GemmRequest, ServeRecorder};
 use localut::elementwise::ElementwiseLut;
 use pim_sim::{Category, Dpu, DpuConfig};
 use quant::{NumericFormat, QMatrix};
@@ -56,21 +56,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Serving-session aggregation ==\n");
     // Every event the trace above showed one at a time ends up, in
-    // aggregate, on a session's merged ledger when requests go through
+    // aggregate, on a recorder's merged ledger when requests go through
     // the engine — and repeated requests reuse one cached LUT image.
     let engine = Engine::builder().threads(2).banks(2).build();
-    let mut session = engine.session();
+    let mut served = ServeRecorder::new();
     for seed in 0..4u64 {
         let w = QMatrix::pseudo_random(16, 24, NumericFormat::Int(2), seed);
         let a = QMatrix::pseudo_random(24, 8, NumericFormat::Int(3), seed + 50);
-        session.submit(&GemmRequest::new(w, a))?;
+        served.record_gemm(&engine.submit(&GemmRequest::new(w, a)));
     }
+    let summary = served.summary();
     let cache = engine.lut_cache_stats();
     println!(
         "  {} requests: {:.4e} simulated s, {:.3e} J, LUT cache {} hit(s) / {} miss(es)",
-        session.requests(),
-        session.stats().total_seconds(),
-        session.energy_pj() as f64 * 1e-12,
+        summary.requests,
+        summary.stats.total_seconds(),
+        summary.energy_pj as f64 * 1e-12,
         cache.hits,
         cache.misses,
     );

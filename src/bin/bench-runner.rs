@@ -15,8 +15,8 @@
 //! The regression gate compares **simulated femtoseconds** (exact,
 //! machine-independent) against the baseline with a relative tolerance
 //! (default 10%), and the functional `values_checksum` exactly; host
-//! wall-clock is printed for humans but never gated and — unless
-//! `--keep-wall` is passed — never written, so `--out` output is
+//! wall-clock is printed for humans but never gated and never written
+//! (`benchmark/` is where host time is measured), so `--out` output is
 //! byte-reproducible. Exit codes: 0 pass, 1 regression (or missing
 //! scenario / checksum drift), 2 usage or I/O error.
 
@@ -35,13 +35,12 @@ struct Args {
     baseline: Option<String>,
     tolerance: f64,
     tag: Option<String>,
-    keep_wall: bool,
     list: bool,
 }
 
 const USAGE: &str = "usage: bench-runner [--profile smoke|full] [--filter SUBSTR] \
 [--threads N] [--out FILE] [--baseline FILE] [--tolerance FRACTION] [--tag NAME] \
-[--keep-wall] [--list]";
+[--list]";
 
 fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
@@ -52,7 +51,6 @@ fn parse_args() -> Result<Args, CliError> {
         baseline: None,
         tolerance: 0.10,
         tag: None,
-        keep_wall: false,
         list: false,
     };
     let mut flags = Flags::from_env(USAGE);
@@ -70,7 +68,6 @@ fn parse_args() -> Result<Args, CliError> {
                 }
             }
             "--tag" => args.tag = Some(flags.value("--tag")?),
-            "--keep-wall" => args.keep_wall = true,
             "--list" => args.list = true,
             other => return Err(flags.unknown(other)),
         }
@@ -134,16 +131,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     table.print();
 
     if let Some(path) = &args.out {
-        std::fs::write(path, report.to_json(args.keep_wall))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
-            "\nwrote {path} ({})",
-            if args.keep_wall {
-                "with wall-clock fields — not byte-reproducible"
-            } else {
-                "deterministic: byte-identical on re-run"
-            }
-        );
+        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("\nwrote {path} (deterministic: byte-identical on re-run)");
     }
 
     let Some(baseline_path) = &args.baseline else {

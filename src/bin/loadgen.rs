@@ -49,8 +49,8 @@
 use bench::json::Json;
 use engine::serve::{drive_client, replay_serial, ArrivalMode, ServeConfig, ServeRecorder, Server};
 use engine::traffic::{client_log, Mix, TrafficConfig, TrafficRequest};
-use engine::{Engine, EngineError, Rejection, ServeReport, ServeSummary};
-use localut_repro::cli::{self, CliError, Flags};
+use engine::{EngineError, Rejection, ServeReport, ServeSummary};
+use localut_repro::cli::{self, print_cache_lines, CliError, EngineFlags, Flags};
 use netserve::wire::{self, WireRequest, WireResponse};
 use netserve::NetClient;
 use std::process::ExitCode;
@@ -63,8 +63,7 @@ struct Args {
     engine_threads: usize,
     max_batch: usize,
     mode: ArrivalMode,
-    ranks: Option<u32>,
-    banks_per_rank: Option<u32>,
+    engine: EngineFlags,
     out: Option<String>,
     keep_host: bool,
     verify_serial: bool,
@@ -72,8 +71,6 @@ struct Args {
     client_offset: usize,
     client_count: Option<usize>,
     drain: bool,
-    cache_dir: Option<String>,
-    cache_budget: Option<u64>,
 }
 
 impl Args {
@@ -97,7 +94,7 @@ impl Args {
     /// workload identity, so it is recorded in the deterministic JSON.
     fn client_requests(&self, client: usize) -> Vec<TrafficRequest> {
         let mut log = client_log(&self.traffic, client);
-        if self.ranks.is_some() {
+        if self.engine.ranks.is_some() {
             for request in &mut log {
                 if let TrafficRequest::Gemm(gemm) = request {
                     gemm.banks = None;
@@ -113,24 +110,6 @@ impl Args {
         (0..self.traffic.clients)
             .flat_map(|client| self.client_requests(client))
             .collect()
-    }
-
-    /// An engine for this workload: flat by default, the ranked machine
-    /// under `--ranks`, with the cache lifecycle knobs applied. Neither
-    /// knob moves a simulated number — a warm restore or an eviction
-    /// changes host wall and counters only.
-    fn build_engine(&self, threads: usize) -> Engine {
-        let mut builder = Engine::builder().threads(threads);
-        if let Some(ranks) = self.ranks {
-            builder = builder.ranks(ranks, self.banks_per_rank.unwrap_or(64));
-        }
-        if let Some(budget) = self.cache_budget {
-            builder = builder.cache_budget(budget);
-        }
-        if let Some(dir) = &self.cache_dir {
-            builder = builder.cache_dir(dir);
-        }
-        builder.build()
     }
 }
 
@@ -154,8 +133,7 @@ fn parse_args() -> Result<Args, CliError> {
         engine_threads: 2,
         max_batch: 8,
         mode: ArrivalMode::Closed,
-        ranks: None,
-        banks_per_rank: None,
+        engine: EngineFlags::default(),
         out: None,
         keep_host: false,
         verify_serial: false,
@@ -163,8 +141,6 @@ fn parse_args() -> Result<Args, CliError> {
         client_offset: 0,
         client_count: None,
         drain: false,
-        cache_dir: None,
-        cache_budget: None,
     };
     let mut flags = Flags::from_env(USAGE);
     while let Some(flag) = flags.next_flag()? {
@@ -183,17 +159,6 @@ fn parse_args() -> Result<Args, CliError> {
             "--engine-threads" => args.engine_threads = flags.positive("--engine-threads")?,
             "--max-batch" => args.max_batch = flags.positive("--max-batch")?,
             "--mode" => args.mode = flags.parsed("--mode")?,
-            "--ranks" => {
-                args.ranks = Some(flags.positive("--ranks")?.try_into().unwrap_or(u32::MAX));
-            }
-            "--banks-per-rank" => {
-                args.banks_per_rank = Some(
-                    flags
-                        .positive("--banks-per-rank")?
-                        .try_into()
-                        .unwrap_or(u32::MAX),
-                );
-            }
             "--out" => args.out = Some(flags.value("--out")?),
             "--keep-host" => args.keep_host = true,
             "--verify-serial" => args.verify_serial = true,
@@ -201,14 +166,11 @@ fn parse_args() -> Result<Args, CliError> {
             "--client-offset" => args.client_offset = flags.parsed("--client-offset")?,
             "--client-count" => args.client_count = Some(flags.parsed("--client-count")?),
             "--drain" => args.drain = true,
-            "--cache-dir" => args.cache_dir = Some(flags.value("--cache-dir")?),
-            "--cache-budget" => args.cache_budget = Some(flags.positive("--cache-budget")? as u64),
+            other if args.engine.accept(other, &mut flags)? => {}
             other => return Err(flags.unknown(other)),
         }
     }
-    if args.banks_per_rank.is_some() && args.ranks.is_none() {
-        return Err(flags.usage_error("--banks-per-rank requires --ranks N"));
-    }
+    args.engine.validate(&flags)?;
     if args.remote.is_none()
         && (args.client_offset != 0 || args.client_count.is_some() || args.drain)
     {
@@ -225,7 +187,9 @@ fn parse_args() -> Result<Args, CliError> {
     if args.client_count == Some(0) && !args.drain {
         return Err(flags.usage_error("--client-count 0 only makes sense with --drain"));
     }
-    if args.remote.is_some() && (args.cache_dir.is_some() || args.cache_budget.is_some()) {
+    if args.remote.is_some()
+        && (args.engine.cache_dir.is_some() || args.engine.cache_budget.is_some())
+    {
         return Err(flags.usage_error(
             "--cache-dir/--cache-budget configure the in-process engine; set them on serve-daemon for remote runs",
         ));
@@ -269,12 +233,9 @@ fn summary_json(args: &Args, summary: &ServeSummary) -> Vec<(&'static str, Json)
     // The ranked topology rewrites the workload (bank overrides are
     // stripped), so it is part of the deterministic identity; flat runs
     // keep the pre-scale-out block byte-for-byte.
-    if let Some(ranks) = args.ranks {
+    if let Some((ranks, banks_per_rank)) = args.engine.ranked() {
         workload.push(("ranks", Json::UInt(u128::from(ranks))));
-        workload.push((
-            "banks_per_rank",
-            Json::UInt(u128::from(args.banks_per_rank.unwrap_or(64))),
-        ));
+        workload.push(("banks_per_rank", Json::UInt(u128::from(banks_per_rank))));
     }
     vec![
         ("schema", Json::Str("loadgen-v1".to_owned())),
@@ -377,28 +338,6 @@ fn host_json(args: &Args, report: &ServeReport, wall_nanos: u128) -> Json {
     ])
 }
 
-/// The cache lifecycle lines both paths print below the table: local runs
-/// from the engine's own counters, remote drains from the wire snapshot.
-/// Deliberately outside the table's `extras` so nothing here ever drifts
-/// toward the deterministic JSON.
-fn print_cache_lines(lut: &engine::CacheStats, memo: &engine::MemoStats) {
-    println!(
-        "lut cache: {} hit(s), {} miss(es), {} eviction(s), {} failed build(s), {} restored; {} resident entr{} ({} B)",
-        lut.hits,
-        lut.misses,
-        lut.evictions,
-        lut.failed_builds,
-        lut.restored,
-        lut.entries,
-        if lut.entries == 1 { "y" } else { "ies" },
-        lut.resident_bytes
-    );
-    println!(
-        "plan memo: {} hit(s), {} miss(es), {} entries",
-        memo.hits, memo.misses, memo.entries
-    );
-}
-
 /// The shared result table; `extras` appends host-only rows the JSON
 /// deliberately omits.
 fn print_summary_table(summary: &ServeSummary, wall_nanos: u128, extras: &[(String, String)]) {
@@ -499,7 +438,7 @@ fn verify_serial_replay(args: &Args, summary: &ServeSummary) -> Result<(), Strin
     // Replays the identical log one request at a time on a fresh engine
     // (same topology as the serving engine) and cross-checks the
     // concurrent summary bit for bit.
-    let reference = args.build_engine(1);
+    let reference = args.engine.build_engine(1);
     let serial = replay_serial(&reference, &args.full_requests());
     if serial == *summary {
         println!("serial replay: MATCH (summary is interleaving-invariant)");
@@ -520,18 +459,8 @@ fn exit_by_failures(summary: &ServeSummary) -> ExitCode {
 }
 
 fn run(args: &Args) -> Result<ExitCode, String> {
-    let engine = Arc::new(args.build_engine(args.engine_threads));
-    if let Some(error) = engine.cache_restore_error() {
-        // A bad cache directory degrades to a cold start, never a refusal
-        // to serve — but the operator asked for warmth, so say why not.
-        eprintln!("warning: cache restore failed, starting cold: {error}");
-    } else if engine.lut_cache_stats().entries > 0 {
-        println!(
-            "warm start: restored {} LUT image(s) from {}",
-            engine.lut_cache_stats().entries,
-            args.cache_dir.as_deref().unwrap_or("?"),
-        );
-    }
+    let engine = Arc::new(args.engine.build_engine(args.engine_threads));
+    args.engine.print_restore(&engine, "");
     let server = Server::start(
         engine.clone(),
         &ServeConfig::builder()
@@ -571,15 +500,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             format!("{} / {}", report.dispatches, report.coalesced_requests),
         )],
     );
-    print_cache_lines(&report.lut_cache, &report.plan_memo);
-
-    if args.cache_dir.is_some() {
-        let count = engine.persist_cache().map_err(|e| e.to_string())?;
-        println!(
-            "persisted {count} LUT image(s) to {}",
-            args.cache_dir.as_deref().unwrap_or("?")
-        );
-    }
+    print_cache_lines("", &report.lut_cache, &report.plan_memo);
+    args.engine.persist(&engine, "")?;
     if args.verify_serial {
         verify_serial_replay(args, summary)?;
     }
@@ -707,7 +629,7 @@ fn run_remote(args: &Args, addr: &str) -> Result<ExitCode, String> {
             server_summary.requests
         );
         if let Some(cache) = server_cache {
-            print_cache_lines(&cache.lut, &cache.memo);
+            print_cache_lines("", &cache.lut, &cache.memo);
         }
     }
     Ok(exit_by_failures(&summary))

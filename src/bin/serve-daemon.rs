@@ -24,8 +24,7 @@
 //! Exit codes: 0 clean drain, 2 usage or I/O error.
 
 use engine::serve::ServeConfig;
-use engine::Engine;
-use localut_repro::cli::{self, CliError, Flags};
+use localut_repro::cli::{self, print_cache_lines, CliError, EngineFlags, Flags};
 use netserve::json::Json;
 use netserve::server::{NetConfig, NetServer};
 use netserve::wire;
@@ -37,16 +36,13 @@ struct Args {
     threads: usize,
     engine_threads: usize,
     max_batch: usize,
-    ranks: Option<u32>,
-    banks_per_rank: Option<u32>,
+    engine: EngineFlags,
     queue_cap: Option<usize>,
     quota: Option<u64>,
     max_conns: usize,
     log: Option<String>,
     out: Option<String>,
     port_file: Option<String>,
-    cache_dir: Option<String>,
-    cache_budget: Option<u64>,
 }
 
 const USAGE: &str = "usage: serve-daemon [--addr HOST:PORT] [--threads N] \
@@ -61,16 +57,13 @@ fn parse_args() -> Result<Args, CliError> {
         threads: 4,
         engine_threads: 2,
         max_batch: 8,
-        ranks: None,
-        banks_per_rank: None,
+        engine: EngineFlags::default(),
         queue_cap: None,
         quota: None,
         max_conns: 64,
         log: None,
         out: None,
         port_file: None,
-        cache_dir: None,
-        cache_budget: None,
     };
     let mut flags = Flags::from_env(USAGE);
     while let Some(flag) = flags.next_flag()? {
@@ -79,31 +72,17 @@ fn parse_args() -> Result<Args, CliError> {
             "--threads" => args.threads = flags.positive("--threads")?,
             "--engine-threads" => args.engine_threads = flags.positive("--engine-threads")?,
             "--max-batch" => args.max_batch = flags.positive("--max-batch")?,
-            "--ranks" => {
-                args.ranks = Some(flags.positive("--ranks")?.try_into().unwrap_or(u32::MAX));
-            }
-            "--banks-per-rank" => {
-                args.banks_per_rank = Some(
-                    flags
-                        .positive("--banks-per-rank")?
-                        .try_into()
-                        .unwrap_or(u32::MAX),
-                );
-            }
             "--queue-cap" => args.queue_cap = Some(flags.positive("--queue-cap")?),
             "--quota" => args.quota = Some(flags.parsed("--quota")?),
             "--max-conns" => args.max_conns = flags.positive("--max-conns")?,
             "--log" => args.log = Some(flags.value("--log")?),
             "--out" => args.out = Some(flags.value("--out")?),
             "--port-file" => args.port_file = Some(flags.value("--port-file")?),
-            "--cache-dir" => args.cache_dir = Some(flags.value("--cache-dir")?),
-            "--cache-budget" => args.cache_budget = Some(flags.positive("--cache-budget")? as u64),
+            other if args.engine.accept(other, &mut flags)? => {}
             other => return Err(flags.unknown(other)),
         }
     }
-    if args.banks_per_rank.is_some() && args.ranks.is_none() {
-        return Err(flags.usage_error("--banks-per-rank requires --ranks N"));
-    }
+    args.engine.validate(&flags)?;
     Ok(args)
 }
 
@@ -127,28 +106,8 @@ fn run(args: &Args) -> Result<(), String> {
     // Requests that arrive without a bank override shard by the daemon's
     // topology — a loadgen driving ranked traffic must be started with
     // the same `--ranks`/`--banks-per-rank` pair.
-    let mut builder = Engine::builder().threads(args.engine_threads);
-    if let Some(ranks) = args.ranks {
-        builder = builder.ranks(ranks, args.banks_per_rank.unwrap_or(64));
-    }
-    if let Some(budget) = args.cache_budget {
-        builder = builder.cache_budget(budget);
-    }
-    if let Some(dir) = &args.cache_dir {
-        builder = builder.cache_dir(dir);
-    }
-    let engine = Arc::new(builder.build());
-    if let Some(error) = engine.cache_restore_error() {
-        // A bad cache directory degrades to a cold start, never a refusal
-        // to serve — but the operator asked for warmth, so say why not.
-        eprintln!("warning: cache restore failed, starting cold: {error}");
-    } else if engine.lut_cache_stats().entries > 0 {
-        println!(
-            "serve-daemon: warm start — restored {} LUT image(s) from {}",
-            engine.lut_cache_stats().entries,
-            args.cache_dir.as_deref().unwrap_or("?"),
-        );
-    }
+    let engine = Arc::new(args.engine.build_engine(args.engine_threads));
+    args.engine.print_restore(&engine, "serve-daemon: ");
     let server = NetServer::bind(
         engine.clone(),
         &serve_config,
@@ -186,34 +145,15 @@ fn run(args: &Args) -> Result<(), String> {
         report.rejected_capacity,
         report.protocol_errors,
     );
-    let lut = report.serve.lut_cache;
-    let memo = report.serve.plan_memo;
-    println!(
-        "serve-daemon: lut cache {} hit(s), {} miss(es), {} eviction(s), {} failed build(s), \
-         {} restored; {} resident entr{} ({} B); plan memo {} hit(s), {} miss(es)",
-        lut.hits,
-        lut.misses,
-        lut.evictions,
-        lut.failed_builds,
-        lut.restored,
-        lut.entries,
-        if lut.entries == 1 { "y" } else { "ies" },
-        lut.resident_bytes,
-        memo.hits,
-        memo.misses,
+    print_cache_lines(
+        "serve-daemon: ",
+        &report.serve.lut_cache,
+        &report.serve.plan_memo,
     );
 
     // Save-on-drain: the next daemon pointed at this directory starts
-    // warm and answers its first requests without the ~734 ms cold LUT
-    // builds. Persisting is part of the requested drain contract, so a
-    // failure here is an error, not a warning.
-    if args.cache_dir.is_some() {
-        let count = engine.persist_cache().map_err(|e| e.to_string())?;
-        println!(
-            "serve-daemon: persisted {count} LUT image(s) to {}",
-            args.cache_dir.as_deref().unwrap_or("?")
-        );
-    }
+    // warm and answers its first requests without the cold LUT builds.
+    args.engine.persist(&engine, "serve-daemon: ")?;
 
     if let Some(path) = &args.out {
         let doc = Json::object(vec![

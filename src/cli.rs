@@ -15,8 +15,11 @@
 //! The parsing style stays the flat `while let Some(flag)` loop the
 //! binaries always used; this module supplies the loop's plumbing
 //! ([`Flags`]) and the process-exit policy ([`CliError`], [`exit`]), not
-//! a framework.
+//! a framework. The one flag *group* two binaries share — the engine
+//! topology and cache lifecycle flags of `loadgen` and `serve-daemon` —
+//! lives here too ([`EngineFlags`]), with the lines both print about it.
 
+use engine::{CacheStats, Engine, MemoStats};
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -139,6 +142,135 @@ impl Flags {
     }
 }
 
+/// The engine flags `loadgen` and `serve-daemon` spell, default and
+/// validate the same way: `--ranks N [--banks-per-rank N]` (the ranked
+/// machine; 64 banks per rank unless said otherwise) and
+/// `--cache-dir DIR` / `--cache-budget BYTES` (the LUT cache lifecycle).
+/// None of them moves a simulated number.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineFlags {
+    /// `--ranks`: serve on the two-level topology.
+    pub ranks: Option<u32>,
+    /// `--banks-per-rank` (requires `--ranks`).
+    pub banks_per_rank: Option<u32>,
+    /// `--cache-dir`: warm-restore from, and persist to, this directory.
+    pub cache_dir: Option<String>,
+    /// `--cache-budget`: byte budget for resident LUT images.
+    pub cache_budget: Option<u64>,
+}
+
+impl EngineFlags {
+    /// Consumes `flag`'s value when `flag` belongs to the group; returns
+    /// whether it did, so the caller's `match` falls through otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] on a missing or non-positive value.
+    pub fn accept(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, CliError> {
+        let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        match flag {
+            "--ranks" => self.ranks = Some(count(flags.positive(flag)?)),
+            "--banks-per-rank" => self.banks_per_rank = Some(count(flags.positive(flag)?)),
+            "--cache-dir" => self.cache_dir = Some(flags.value(flag)?),
+            "--cache-budget" => self.cache_budget = Some(flags.positive(flag)? as u64),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The group's cross-flag rule, checked after the loop.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] for `--banks-per-rank` without `--ranks`.
+    pub fn validate(&self, flags: &Flags) -> Result<(), CliError> {
+        if self.banks_per_rank.is_some() && self.ranks.is_none() {
+            return Err(flags.usage_error("--banks-per-rank requires --ranks N"));
+        }
+        Ok(())
+    }
+
+    /// The ranked topology asked for, as `(ranks, banks_per_rank)` — 64
+    /// banks per rank (the paper's server) unless `--banks-per-rank` said
+    /// otherwise; `None` without `--ranks`.
+    #[must_use]
+    pub fn ranked(&self) -> Option<(u32, u32)> {
+        self.ranks
+            .map(|ranks| (ranks, self.banks_per_rank.unwrap_or(64)))
+    }
+
+    /// An engine under these flags: flat by default, the ranked machine
+    /// under `--ranks`, with the cache lifecycle knobs applied.
+    #[must_use]
+    pub fn build_engine(&self, threads: usize) -> Engine {
+        let mut builder = Engine::builder().threads(threads);
+        if let Some((ranks, banks_per_rank)) = self.ranked() {
+            builder = builder.ranks(ranks, banks_per_rank);
+        }
+        if let Some(budget) = self.cache_budget {
+            builder = builder.cache_budget(budget);
+        }
+        if let Some(dir) = &self.cache_dir {
+            builder = builder.cache_dir(dir);
+        }
+        builder.build()
+    }
+
+    /// Says how `engine`'s warm restore went: a warning on stderr when it
+    /// failed (a bad cache directory degrades to a cold start, never a
+    /// refusal to serve — but the operator asked for warmth, so say why
+    /// not), a `warm start` line when images were restored, nothing on a
+    /// cold start. `prefix` is the binary's own line prefix.
+    pub fn print_restore(&self, engine: &Engine, prefix: &str) {
+        let restored = engine.lut_cache_stats().entries;
+        if let Some(error) = engine.cache_restore_error() {
+            eprintln!("warning: cache restore failed, starting cold: {error}");
+        } else if restored > 0 {
+            println!(
+                "{prefix}warm start: restored {restored} LUT image(s) from {}",
+                self.cache_dir.as_deref().unwrap_or("?"),
+            );
+        }
+    }
+
+    /// Saves `engine`'s resident LUT images under `--cache-dir` (a no-op
+    /// without one) so the next process pointed there starts warm.
+    ///
+    /// # Errors
+    ///
+    /// The store failure, as text: persisting is part of what the
+    /// operator asked for, so the binaries treat it as an error.
+    pub fn persist(&self, engine: &Engine, prefix: &str) -> Result<(), String> {
+        if let Some(dir) = &self.cache_dir {
+            let count = engine.persist_cache().map_err(|e| e.to_string())?;
+            println!("{prefix}persisted {count} LUT image(s) to {dir}");
+        }
+        Ok(())
+    }
+}
+
+/// The two cache lifecycle lines printed at the end of a run: from the
+/// engine's own counters in-process, from the wire snapshot after a
+/// remote drain. Host-side observables only — nothing here is in any
+/// deterministic JSON.
+pub fn print_cache_lines(prefix: &str, lut: &CacheStats, memo: &MemoStats) {
+    println!(
+        "{prefix}lut cache: {} hit(s), {} miss(es), {} eviction(s), {} failed build(s), {} restored; {} resident entr{} ({} B)",
+        lut.hits,
+        lut.misses,
+        lut.evictions,
+        lut.failed_builds,
+        lut.restored,
+        lut.entries,
+        if lut.entries == 1 { "y" } else { "ies" },
+        lut.resident_bytes
+    );
+    println!(
+        "{prefix}plan memo: {} hit(s), {} miss(es), {} entries",
+        memo.hits, memo.misses, memo.entries
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +321,42 @@ mod tests {
             }
             CliError::Help(_) => panic!("unknown flag is not help"),
         }
+    }
+    #[test]
+    fn engine_flags_accept_their_group_and_nothing_else() {
+        let mut f = flags(&["8", "16", "DIR", "4096", "x"]);
+        let mut group = EngineFlags::default();
+        for flag in [
+            "--ranks",
+            "--banks-per-rank",
+            "--cache-dir",
+            "--cache-budget",
+        ] {
+            assert_eq!(group.accept(flag, &mut f), Ok(true), "{flag}");
+        }
+        // A foreign flag is left for the caller, its value unconsumed.
+        assert_eq!(group.accept("--threads", &mut f), Ok(false));
+        assert_eq!(f.value("--threads").unwrap(), "x");
+        assert_eq!(
+            group,
+            EngineFlags {
+                ranks: Some(8),
+                banks_per_rank: Some(16),
+                cache_dir: Some("DIR".to_owned()),
+                cache_budget: Some(4096),
+            }
+        );
+        assert!(group.validate(&f).is_ok());
+        assert_eq!(group.build_engine(1).default_banks(), 128);
+
+        // Counts are positive; --banks-per-rank needs --ranks.
+        assert!(EngineFlags::default()
+            .accept("--ranks", &mut flags(&["0"]))
+            .is_err());
+        let lone = EngineFlags {
+            banks_per_rank: Some(4),
+            ..EngineFlags::default()
+        };
+        assert!(lone.validate(&f).is_err());
     }
 }

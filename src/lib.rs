@@ -2,7 +2,7 @@
 //!
 //! Facade crate tying the workspace together for the examples and
 //! integration tests. The recommended entry point is [`engine`] — the
-//! unified serving API (`Engine` / `Session`, typed requests, LUT
+//! unified serving API (`Engine` / `Server`, typed requests, LUT
 //! caching); the per-layer crates below it stay available for
 //! lower-level work. See `README.md` for the architecture overview,
 //! `DESIGN.md` for the system inventory, and `EXPERIMENTS.md` for the
@@ -21,5 +21,5 @@ pub use runtime;
 pub use xpu;
 
 pub use engine::serve::Server;
-pub use engine::{Engine, EngineBuilder, EngineError, Session};
+pub use engine::{Engine, EngineBuilder, EngineError};
 pub use netserve::{NetClient, NetConfig, NetServer};

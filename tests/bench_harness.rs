@@ -36,22 +36,24 @@ fn cheap_measured(threads: usize) -> Vec<bench::scenario::MeasuredScenario> {
 }
 
 #[test]
-fn report_roundtrips_through_json_with_and_without_wall() {
+fn report_roundtrips_through_json_and_an_old_wall_key_still_loads() {
     let measured = cheap_measured(2);
     let report = BenchReport::new("e2e", "smoke", 2, &measured);
 
-    // Wall-clock included: every field round-trips.
-    let parsed = BenchReport::from_json(&report.to_json(true)).expect("valid JSON");
-    assert_eq!(parsed, report);
-    assert!(parsed.scenarios.iter().all(|s| s.wall_nanos.is_some()));
+    // What this binary writes carries no wall-clock key and round-trips.
+    let text = report.to_json();
+    assert!(!text.contains("wall_nanos"));
+    assert!(text.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
+    assert_eq!(BenchReport::from_json(&text).expect("valid JSON"), report);
 
-    // Deterministic form: identical modulo the stripped wall fields.
-    let parsed = BenchReport::from_json(&report.to_json(false)).expect("valid JSON");
-    assert_eq!(parsed, report.without_wall());
-    assert!(parsed.scenarios.iter().all(|s| s.wall_nanos.is_none()));
-    assert!(report
-        .to_json(true)
-        .contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
+    // A report from before host time moved to `benchmark/` carries a
+    // `wall_nanos` per scenario; it still loads, to the same rows.
+    let old = text.replace(
+        "\"values_checksum\":",
+        "\"wall_nanos\": 123456789,\n      \"values_checksum\":",
+    );
+    assert_eq!(old.matches("wall_nanos").count(), measured.len());
+    assert_eq!(BenchReport::from_json(&old).expect("valid JSON"), report);
 }
 
 #[test]
@@ -61,7 +63,7 @@ fn two_runs_produce_identical_reports_modulo_wall_clock() {
     // deterministic report surface.
     let first = BenchReport::new("run", "smoke", 1, &cheap_measured(1));
     let second = BenchReport::new("run", "smoke", 1, &cheap_measured(3));
-    assert_eq!(first.to_json(false), second.to_json(false));
+    assert_eq!(first.to_json(), second.to_json());
     // And the regression gate sees them as exactly unchanged at zero
     // tolerance.
     let comparisons = compare(&first, &second, 0.0);
@@ -88,12 +90,12 @@ fn committed_baseline_layout_matches_what_this_binary_writes() {
         "baseline must cover the smoke registry in order"
     );
     assert!(
-        baseline.scenarios.iter().all(|s| s.wall_nanos.is_none()),
+        !text.contains("wall_nanos"),
         "committed baselines must not contain wall-clock fields"
     );
     assert!(baseline.scenarios.iter().all(|s| s.sim_femtos > 0));
     // Round-trip through this binary's writer is byte-stable.
-    assert_eq!(baseline.to_json(false), text);
+    assert_eq!(baseline.to_json(), text);
 }
 
 #[test]

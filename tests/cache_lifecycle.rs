@@ -342,24 +342,29 @@ fn truncated_manifest_and_bitflipped_image_are_typed_errors() {
 
 #[test]
 fn memoized_plans_equal_recomputed_plans_bitwise() {
-    use dnn::{ModelConfig, Workload};
-    use engine::SessionRequest;
+    use localut::GemmDims;
+    use quant::BitConfig;
 
-    let request = SessionRequest::new(Workload::with_decode(ModelConfig::bert_base(), 8, 4));
+    let dims = GemmDims {
+        m: 96,
+        k: 64,
+        n: 12,
+    };
+    let bits = BitConfig { bw: 1, ba: 3 };
     let engine = Engine::builder().threads(1).banks(4).build();
-    let first = engine.session_plans(&request).expect("plans exist");
+    let first = engine.plan(dims, bits).expect("a plan exists");
     let baseline = engine.plan_memo_stats();
     assert!(baseline.misses > 0, "first planning pass computes");
 
-    let second = engine.session_plans(&request).expect("plans exist");
+    let second = engine.plan(dims, bits).expect("a plan exists");
     let after = engine.plan_memo_stats();
     assert_eq!(second, first, "a memo hit is bitwise the computed plan");
     assert!(after.hits > baseline.hits, "second pass hits the memo");
     assert_eq!(after.misses, baseline.misses, "nothing recomputed");
 
-    // A fresh engine recomputes from scratch and lands on the same plans.
+    // A fresh engine recomputes from scratch and lands on the same plan.
     let fresh = Engine::builder().threads(1).banks(4).build();
-    assert_eq!(fresh.session_plans(&request).expect("plans exist"), first);
+    assert_eq!(fresh.plan(dims, bits).expect("a plan exists"), first);
 }
 
 // ---------------------------------------------------------------------

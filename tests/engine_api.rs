@@ -21,7 +21,6 @@ use localut_repro::localut::{GemmConfig, GemmDims, Method};
 use localut_repro::pim_sim::EnergyModel;
 use localut_repro::quant::{BitConfig, NumericFormat, QMatrix};
 use localut_repro::runtime::{values_checksum, ParallelExecutor, ShardPlan};
-use localut_repro::Session;
 
 fn operands(m: usize, k: usize, n: usize, seed: u64) -> (QMatrix, QMatrix) {
     (
@@ -273,26 +272,4 @@ fn engine_error_wraps_every_layer() {
         )
         .unwrap_err();
     assert!(matches!(err, EngineError::Gemm(_)));
-}
-
-/// Sessions aggregate exactly what their responses report, across mixed
-/// request kinds.
-#[test]
-fn session_aggregates_mixed_request_kinds() {
-    let engine = Engine::builder().threads(2).banks(2).build();
-    let mut session: Session<'_> = engine.session();
-    let (w, a) = operands(8, 12, 5, 90);
-    let gemm = session.submit(&GemmRequest::new(w, a)).unwrap();
-    let infer = session
-        .infer(
-            &InferenceRequest::single(Workload::prefill(ModelConfig::bert_base(), 4))
-                .with_bits("W4A4".parse().unwrap()),
-        )
-        .unwrap();
-    assert_eq!(session.requests(), 2);
-    assert_eq!(session.energy_pj(), gemm.energy_pj + infer.energy_pj);
-    let mut expect = gemm.stats.clone();
-    expect.merge(&infer.stats);
-    assert_eq!(session.stats(), &expect);
-    assert!(session.engine().lut_cache_stats().lookups() >= 1);
 }

@@ -5,34 +5,8 @@
 use localut::kernels::{BankKernel, KernelSpec};
 use localut::plan::{Placement, Planner};
 use localut::{GemmConfig, GemmDims, LocaLutError, Method};
-use pim_sim::{Dpu, DpuConfig, SimError};
+use pim_sim::{DpuConfig, SimError};
 use quant::{NumericFormat, QMatrix, Quantizer};
-
-#[test]
-fn wram_exhaustion_is_typed() {
-    let mut dpu = Dpu::upmem();
-    dpu.wram_alloc("big", 60 * 1024).unwrap();
-    match dpu.wram_alloc("more", 8 * 1024) {
-        Err(SimError::WramExhausted {
-            requested,
-            available,
-        }) => {
-            assert_eq!(requested, 8 * 1024);
-            assert!(available < 8 * 1024);
-        }
-        other => panic!("expected WramExhausted, got {other:?}"),
-    }
-}
-
-#[test]
-fn bank_exhaustion_is_typed() {
-    let mut dpu = Dpu::upmem();
-    dpu.bank_place("lut", 60 * 1024 * 1024).unwrap();
-    assert!(matches!(
-        dpu.bank_place("more", 8 * 1024 * 1024),
-        Err(SimError::BankExhausted { .. })
-    ));
-}
 
 #[test]
 fn oversized_packing_degrees_are_rejected_per_kernel() {

@@ -4,7 +4,7 @@
 //! replay contract — all against a live loopback [`netserve::NetServer`].
 
 use engine::serve::{replay_serial, ServeConfig};
-use engine::{Engine, EngineError, Rejection};
+use engine::{Engine, EngineError, NetError, Rejection};
 use netserve::frame::{self, FramePoll, FrameReader};
 use netserve::server::{NetConfig, NetReport, NetServer};
 use netserve::wire::{self, WireRequest, WireResponse};
@@ -350,6 +350,33 @@ fn session_over_tcp_matches_in_process_inference() {
     let replayed = wire::parse_request_log(&text).expect("log parses");
     assert_eq!(replay_serial(&reference, &replayed), report.serve.summary);
     let _ = std::fs::remove_file(&log);
+}
+
+#[test]
+fn oversized_session_frame_is_a_typed_error_and_the_daemon_keeps_serving() {
+    // `decode_tokens` is a client-chosen u32: a ~200-byte frame must not
+    // be able to make the reader thread allocate per step. It resolves to
+    // the typed error, counts as a failed request, and the same
+    // connection is served afterwards.
+    let server = start(&serve_config(), &NetConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let huge = engine::SessionRequest::new(dnn::Workload::with_decode(
+        dnn::ModelConfig::opt_125m(),
+        1,
+        u32::MAX,
+    ));
+    match client.session(&huge) {
+        Err(EngineError::Net(NetError::Remote { kind, message })) => {
+            assert_eq!(kind, "InvalidRequest");
+            assert!(message.contains("step bound"), "{message}");
+        }
+        other => panic!("expected a remote InvalidRequest, got {other:?}"),
+    }
+    client.gemm(&small_gemm()).expect("still serving");
+    let report: NetReport = server.join();
+    assert_eq!(report.serve.summary.failed_requests, 1);
+    assert_eq!(report.serve.summary.session_requests, 0);
+    assert_eq!(report.serve.summary.gemm_requests, 1);
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //! bit-exactness against the serial path, profile/stats invariance under
 //! the worker count, and determinism from a fixed seed.
 
+use localut_repro::dnn;
 use localut_repro::localut::{GemmConfig, GemmDims, Method};
 use localut_repro::pim_sim::Stats;
 use localut_repro::quant::{NumericFormat, QMatrix, Quantizer};
 use localut_repro::runtime::{ParallelExecutor, ShardPlan};
-use localut_repro::{dnn, localut};
 
 /// Deterministic pseudo-random operands from a seed.
 fn qmatrix(rows: usize, cols: usize, format: NumericFormat, seed: u64) -> QMatrix {
@@ -72,21 +72,6 @@ fn same_seed_any_thread_count_is_identical() {
         let second = pool.execute_plan(&plan, Method::LoCaLut, &w, &a).unwrap();
         assert_eq!(first, baseline, "threads = {threads} diverged from serial");
         assert_eq!(first, second, "threads = {threads} not reproducible");
-    }
-}
-
-/// The kernel-level `par_run` entry point stays bit-identical to
-/// `GemmConfig::run` in both values and profile, across methods.
-#[test]
-fn par_run_facade_matches_serial() {
-    let w = qmatrix(10, 18, NumericFormat::Int(2), 5);
-    let a = qmatrix(18, 7, NumericFormat::Int(3), 6);
-    let cfg = GemmConfig::upmem();
-    for method in Method::ALL {
-        let serial = cfg.run(method, &w, &a).unwrap();
-        let par = localut::kernels::par_run(&cfg, method, &w, &a, 4).unwrap();
-        assert_eq!(par.values, serial.values, "{method}");
-        assert_eq!(par.profile, serial.profile, "{method}");
     }
 }
 
