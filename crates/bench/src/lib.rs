@@ -1,14 +1,12 @@
-//! The perf-harness subsystem plus shared helpers for the
-//! figure-regeneration bench targets.
+//! The evaluation: the paper's figures and the perf harness.
 //!
-//! Two consumers share this crate:
-//!
-//! * Every `benches/figNN_*.rs` target is a `harness = false` binary that
-//!   reruns one of the paper's experiments on the simulator and prints the
-//!   same rows/series the paper plots. `cargo bench --workspace`
-//!   regenerates the full evaluation; `EXPERIMENTS.md` records
-//!   paper-vs-measured.
-//! * The **`bench-runner`** binary (workspace root) measures the
+//! * [`figures`] is the paper's §VI as a registry of plain functions, one
+//!   per figure. Each reruns its experiment on the simulator and returns
+//!   the tables the paper plots plus the claims that hold the paper's
+//!   numbers against the simulated ones. `bench-runner --figures` prints
+//!   them and writes the checked-in `FIGURES.md`; the root test
+//!   `tests/paper_figures.rs` fails when a claim leaves its band.
+//! * The **`bench-runner`** binary (workspace root) also measures the
 //!   [`scenario`] registry and emits/compares schema-versioned
 //!   `BENCH_*.json` reports ([`report`]), with tolerance-based regression
 //!   verdicts ([`regress`]) gated in CI. The JSON layer is the
@@ -23,6 +21,7 @@
 /// built on the same writer); re-exported here so report code keeps
 /// saying `bench::json`.
 pub use netserve::json;
+pub mod figures;
 pub mod regress;
 pub mod report;
 pub mod scenario;
@@ -37,23 +36,6 @@ use pq::{PqConfig, PqCostModel};
 /// serving engine's response types; re-exported here so the perf reports
 /// and the engine price energy through one function.
 pub use engine::picojoules;
-
-/// Geometric mean of positive values (1.0 for an empty slice).
-#[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Prints a figure banner.
-pub fn banner(fig: &str, title: &str) {
-    println!();
-    println!("================================================================");
-    println!("{fig}: {title}");
-    println!("================================================================");
-}
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
@@ -78,34 +60,52 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// The rows appended so far, cell by cell.
+    #[must_use]
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Prints the table with aligned columns.
     pub fn print(&self) {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        print!("{self}");
+    }
+}
+
+/// `{}` renders right-aligned text columns under a dashed rule; `{:#}`
+/// renders the same padded cells as Markdown pipe rows.
+impl std::fmt::Display for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // A Markdown rule cell is `--:` at its narrowest, which also
+        // keeps the rendered columns right-aligned.
+        let (open, sep, close, min_width, rule_end) = if f.alternate() {
+            ("| ", " | ", " |", 3, ":")
+        } else {
+            ("  ", "  ", "", 0, "-")
+        };
+        let mut widths: Vec<usize> = self
+            .header
+            .iter()
+            .map(|h| h.chars().count().max(min_width))
+            .collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.chars().count());
             }
         }
-        let line = |cells: &[String]| {
-            let cols: Vec<String> = cells
+        let rule: Vec<String> = widths
+            .iter()
+            .map(|w| "-".repeat(w.saturating_sub(1)) + rule_end)
+            .collect();
+        for cells in [&self.header, &rule].into_iter().chain(&self.rows) {
+            let padded: Vec<String> = cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
+                .zip(&widths)
+                .map(|(cell, w)| format!("{cell:>w$}"))
                 .collect();
-            println!("  {}", cols.join("  "));
-        };
-        line(&self.header);
-        println!(
-            "  {}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            line(row);
+            writeln!(f, "{open}{}{close}", padded.join(sep))?;
         }
+        Ok(())
     }
 }
 
@@ -147,10 +147,14 @@ mod tests {
     use pq::PqVariant;
 
     #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 1.0);
-        assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
+    fn one_renderer_two_shapes() {
+        let mut t = Table::new(&["name", "x"]);
+        t.row(vec!["a".into(), "1.50".into()]);
+        assert_eq!(t.to_string(), "  name     x\n  ----  ----\n     a  1.50\n");
+        assert_eq!(
+            format!("{t:#}"),
+            "| name |    x |\n| ---: | ---: |\n|    a | 1.50 |\n"
+        );
     }
 
     #[test]

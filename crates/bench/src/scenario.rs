@@ -21,7 +21,7 @@
 use crate::picojoules;
 use dnn::{ModelConfig, Workload};
 use engine::serve::{drive_client, ArrivalMode, ServeConfig, Server};
-use engine::traffic::{client_log, Mix, TrafficConfig, TrafficRequest};
+use engine::traffic::{self, client_log, Mix, TrafficConfig, TrafficRequest};
 use engine::{Engine, EngineBuilder, GemmRequest, InferenceRequest, PlanPin, ServeSummary};
 use localut::plan::Placement;
 use localut::{GemmDims, Method};
@@ -437,11 +437,7 @@ fn serve_traffic(
             let server = &server;
             let mut log = client_log(traffic, client);
             if strip_bank_overrides {
-                for request in &mut log {
-                    if let TrafficRequest::Gemm(gemm) = request {
-                        gemm.banks = None;
-                    }
-                }
+                traffic::strip_bank_overrides(&mut log);
             }
             scope.spawn(move || drive_client(server, log, ArrivalMode::Closed));
         }

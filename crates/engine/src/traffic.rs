@@ -179,6 +179,17 @@ pub fn full_log(config: &TrafficConfig) -> Vec<TrafficRequest> {
         .collect()
 }
 
+/// Drops every GEMM's seeded per-request bank count from `log`, so the
+/// serving engine's own topology governs each shard plan (what a ranked
+/// machine needs; the rewrite is part of the workload's identity).
+pub fn strip_bank_overrides(log: &mut [TrafficRequest]) {
+    for request in log {
+        if let TrafficRequest::Gemm(gemm) = request {
+            gemm.banks = None;
+        }
+    }
+}
+
 fn generate_gemm(rng: &mut SplitMix64) -> TrafficRequest {
     let (m, k, n) = GEMM_SHAPES[rng.pick(GEMM_SHAPES.len() as u64) as usize];
     let w_seed = rng.next();
@@ -271,6 +282,26 @@ mod tests {
         assert!(chat
             .iter()
             .any(|r| !matches!(r, TrafficRequest::Session(_))));
+    }
+
+    #[test]
+    fn stripping_bank_overrides_touches_gemms_only() {
+        let seeded = full_log(&config(Mix::Mixed));
+        let mut stripped = seeded.clone();
+        strip_bank_overrides(&mut stripped);
+        for (before, after) in seeded.iter().zip(&stripped) {
+            match (before, after) {
+                (TrafficRequest::Gemm(b), TrafficRequest::Gemm(a)) => {
+                    assert!(b.banks.is_some());
+                    let expected = GemmRequest {
+                        banks: None,
+                        ..b.clone()
+                    };
+                    assert_eq!(a, &expected);
+                }
+                _ => assert_eq!(before, after),
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 use crate::multiset::multiset_count;
 use crate::perm::factorial;
+use crate::LocaLutError;
+use pim_sim::DpuConfig;
 use quant::NumericFormat;
 
 /// Smallest entry width in bytes able to hold any inner product of `p`
@@ -99,6 +101,35 @@ pub fn slice_pair_bytes(wf: NumericFormat, af: NumericFormat, p: u32) -> Option<
     }
     let rows = 1u64 << wshift;
     Some(rows * (entry_bytes(wf, af, p) + reorder_entry_bytes(wf.bits(), p)))
+}
+
+/// The §IV-C streaming fit, stated once: at degree `p` the full
+/// canonical + reordering image must fit `dpu`'s bank LUT budget and `k`
+/// co-resident slice pairs its WRAM LUT budget.
+///
+/// # Errors
+///
+/// [`LocaLutError::BudgetExceeded`] naming the budget that failed, or
+/// [`LocaLutError::InvalidPackingDegree`] when a footprint at `p`
+/// overflows its closed form.
+pub fn streaming_fit(
+    dpu: &DpuConfig,
+    wf: NumericFormat,
+    af: NumericFormat,
+    p: u32,
+    k: u32,
+) -> Result<(), LocaLutError> {
+    let fits = |required: u128, budget: u64| {
+        if required > u128::from(budget) {
+            return Err(LocaLutError::BudgetExceeded { required, budget });
+        }
+        Ok(())
+    };
+    let (Some(full), Some(slice)) = (localut_bytes(wf, af, p), slice_pair_bytes(wf, af, p)) else {
+        return Err(LocaLutError::InvalidPackingDegree(p));
+    };
+    fits(full, dpu.bank_lut_budget())?;
+    fits(u128::from(slice) * u128::from(k), dpu.wram_lut_budget())
 }
 
 /// Largest `p ≥ 1` whose canonical + reordering LUTs fit `budget` bytes
@@ -227,6 +258,34 @@ mod tests {
         assert_eq!(
             slice_pair_bytes(NumericFormat::Int(4), NumericFormat::Int(4), 3),
             Some(4096 * 4)
+        );
+    }
+
+    #[test]
+    fn streaming_fit_names_the_budget_that_failed() {
+        let dpu = DpuConfig::upmem();
+        assert_eq!(streaming_fit(&dpu, W1, A3, 8, 2), Ok(()));
+        // p = 9: the full image outgrows the bank budget first.
+        assert_eq!(
+            streaming_fit(&dpu, W1, A3, 9, 2),
+            Err(LocaLutError::BudgetExceeded {
+                required: localut_bytes(W1, A3, 9).unwrap(),
+                budget: dpu.bank_lut_budget(),
+            })
+        );
+        // W4A4 p = 3 fits the bank; three 16 KiB slice pairs do not fit WRAM.
+        let f4 = NumericFormat::Int(4);
+        assert_eq!(streaming_fit(&dpu, f4, f4, 3, 2), Ok(()));
+        assert_eq!(
+            streaming_fit(&dpu, f4, f4, 3, 3),
+            Err(LocaLutError::BudgetExceeded {
+                required: 3 * 4096 * 4,
+                budget: dpu.wram_lut_budget(),
+            })
+        );
+        assert_eq!(
+            streaming_fit(&dpu, f4, f4, 30, 1),
+            Err(LocaLutError::InvalidPackingDegree(30))
         );
     }
 

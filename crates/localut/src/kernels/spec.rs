@@ -7,7 +7,7 @@ use super::{pad_code_for, require_integer, SharedLuts};
 use super::{MAX_MATERIALIZED_ENTRIES, N_TILE};
 use crate::canonical::CanonicalLut;
 use crate::capacity::{
-    canonical_lut_bytes, localut_bytes, max_p_by, op_lut_bytes, slice_pair_bytes,
+    canonical_lut_bytes, localut_bytes, max_p_by, op_lut_bytes, slice_pair_bytes, streaming_fit,
 };
 use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{reference_gemm, GemmConfig, GemmDims, GemmResult, Method};
@@ -94,20 +94,7 @@ impl KernelSpec {
                 if cfg.k_slices == 0 {
                     return Err(LocaLutError::InvalidPackingDegree(0));
                 }
-                let fits = |required: u128, budget: u64| {
-                    if required > u128::from(budget) {
-                        return Err(LocaLutError::BudgetExceeded { required, budget });
-                    }
-                    Ok(())
-                };
-                let (Some(full), Some(slice)) =
-                    (localut_bytes(wf, af, p), slice_pair_bytes(wf, af, p))
-                else {
-                    return Err(LocaLutError::InvalidPackingDegree(p));
-                };
-                fits(full, dpu.bank_lut_budget())?;
-                let resident = u128::from(slice) * u128::from(cfg.k_slices);
-                fits(resident, dpu.wram_lut_budget())?;
+                streaming_fit(dpu, wf, af, p, cfg.k_slices)?;
                 cfg.k_slices as usize
             }
             _ => N_TILE,

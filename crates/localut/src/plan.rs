@@ -2,7 +2,7 @@
 //! compute the performance model on the host side to determine `p*` and
 //! whether to use LUT slice streaming — then construct the kernel.
 
-use crate::capacity::{localut_bytes, max_p_localut, slice_pair_bytes};
+use crate::capacity::{localut_bytes, max_p_localut, streaming_fit};
 use crate::gemm::GemmDims;
 use crate::kernels::KernelSpec;
 use crate::model::PerfModel;
@@ -111,20 +111,11 @@ impl Planner {
     /// fit the WRAM LUT budget.
     #[must_use]
     pub fn max_streaming_p(&self, wf: NumericFormat, af: NumericFormat, k: u32) -> u32 {
-        let bank = u128::from(self.cfg.bank_lut_budget());
-        let wram = self.cfg.wram_lut_budget();
-        let mut best = 0;
-        for p in 1..=24 {
-            let fits_bank = localut_bytes(wf, af, p).is_some_and(|b| b <= bank);
-            let fits_wram = slice_pair_bytes(wf, af, p)
-                .is_some_and(|s| s.checked_mul(u64::from(k)).is_some_and(|r| r <= wram));
-            if fits_bank && fits_wram {
-                best = p;
-            } else {
-                break;
-            }
-        }
-        best
+        // Footprints are monotone in p; stop at the first miss.
+        (1..=24)
+            .take_while(|&p| streaming_fit(&self.cfg, wf, af, p, k).is_ok())
+            .last()
+            .unwrap_or(0)
     }
 
     /// Plans one GEMM: evaluates Eq. 2 for every feasible streaming `p`

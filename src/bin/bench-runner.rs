@@ -1,15 +1,19 @@
-//! `bench-runner` — the deterministic perf harness front end.
+//! `bench-runner` — the deterministic evaluation front end.
 //!
 //! Runs the `bench` crate's scenario registry on the bank-parallel
 //! runtime, prints a per-scenario metric table (simulated time, energy,
 //! DPU instructions, host wall-clock), and emits/compares schema-versioned
-//! `BENCH_*.json` reports:
+//! `BENCH_*.json` reports; or, with `--figures`, reruns the paper's
+//! figures (`bench::figures`), prints their tables and writes the
+//! paper-vs-simulated table that is checked in as `FIGURES.md`:
 //!
 //! ```sh
 //! bench-runner --list
 //! bench-runner --profile smoke --out BENCH_baseline.json
 //! bench-runner --profile smoke --baseline BENCH_baseline.json
 //! bench-runner --profile full --filter fig09 --threads 8
+//! bench-runner --figures --out FIGURES.md
+//! bench-runner --figures --filter fig09
 //! ```
 //!
 //! The regression gate compares **simulated femtoseconds** (exact,
@@ -18,8 +22,10 @@
 //! wall-clock is printed for humans but never gated and never written
 //! (`benchmark/` is where host time is measured), so `--out` output is
 //! byte-reproducible. Exit codes: 0 pass, 1 regression (or missing
-//! scenario / checksum drift), 2 usage or I/O error.
+//! scenario / checksum drift, or a figure claim outside its recorded
+//! band), 2 usage or I/O error.
 
+use bench::figures;
 use bench::regress::{compare, passes_gate, restrict_to_selected};
 use bench::report::BenchReport;
 use bench::scenario::{registry, run_scenarios, select, RunProfile, ScenarioCtx};
@@ -36,11 +42,12 @@ struct Args {
     tolerance: f64,
     tag: Option<String>,
     list: bool,
+    figures: bool,
 }
 
 const USAGE: &str = "usage: bench-runner [--profile smoke|full] [--filter SUBSTR] \
 [--threads N] [--out FILE] [--baseline FILE] [--tolerance FRACTION] [--tag NAME] \
-[--list]";
+[--list] | --figures [--filter SUBSTR] [--out FIGURES.md]";
 
 fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
@@ -52,6 +59,7 @@ fn parse_args() -> Result<Args, CliError> {
         tolerance: 0.10,
         tag: None,
         list: false,
+        figures: false,
     };
     let mut flags = Flags::from_env(USAGE);
     while let Some(flag) = flags.next_flag()? {
@@ -69,6 +77,7 @@ fn parse_args() -> Result<Args, CliError> {
             }
             "--tag" => args.tag = Some(flags.value("--tag")?),
             "--list" => args.list = true,
+            "--figures" => args.figures = true,
             other => return Err(flags.unknown(other)),
         }
     }
@@ -85,6 +94,43 @@ fn list_scenarios(args: &Args) {
         ]);
     }
     table.print();
+}
+
+/// `--figures`: rerun the paper's figures, print their tables and the
+/// paper-vs-simulated rows, and write the latter as Markdown to `--out`.
+fn run_figures(args: &Args) -> Result<ExitCode, String> {
+    let selected = figures::select(args.filter.as_deref());
+    if selected.is_empty() {
+        return Err(format!("no figure matches filter {:?}", args.filter));
+    }
+    let rule = "=".repeat(64);
+    let mut reports = Vec::new();
+    for figure in selected {
+        println!("\n{rule}\n{}: {}\n{rule}", figure.name, figure.title);
+        let report = figure.run().map_err(|e| format!("{}: {e}", figure.name))?;
+        for (caption, table) in &report.tables {
+            if !caption.is_empty() {
+                println!("\n  {caption}");
+            }
+            print!("{table}");
+        }
+        reports.push(report);
+    }
+    println!("\n{rule}\npaper vs simulated (ratio = simulated / paper)\n{rule}");
+    print!("{}", figures::fidelity_table(&reports));
+    if let Some(path) = &args.out {
+        std::fs::write(path, figures::fidelity_markdown(&reports))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("\nwrote {path} (deterministic: byte-identical on re-run)");
+    }
+    let mut code = ExitCode::SUCCESS;
+    for claim in reports.iter().flat_map(|r| &r.claims) {
+        if !claim.holds() {
+            eprintln!("out of band: {claim}");
+            code = ExitCode::FAILURE;
+        }
+    }
+    Ok(code)
 }
 
 fn run(args: &Args) -> Result<ExitCode, String> {
@@ -202,7 +248,12 @@ fn main() -> ExitCode {
         list_scenarios(&args);
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    let outcome = if args.figures {
+        run_figures(&args)
+    } else {
+        run(&args)
+    };
+    match outcome {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");

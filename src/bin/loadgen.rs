@@ -48,7 +48,7 @@
 
 use bench::json::Json;
 use engine::serve::{drive_client, replay_serial, ArrivalMode, ServeConfig, ServeRecorder, Server};
-use engine::traffic::{client_log, Mix, TrafficConfig, TrafficRequest};
+use engine::traffic::{client_log, strip_bank_overrides, Mix, TrafficConfig, TrafficRequest};
 use engine::{EngineError, Rejection, ServeReport, ServeSummary};
 use localut_repro::cli::{self, print_cache_lines, CliError, EngineFlags, Flags};
 use netserve::wire::{self, WireRequest, WireResponse};
@@ -95,11 +95,7 @@ impl Args {
     fn client_requests(&self, client: usize) -> Vec<TrafficRequest> {
         let mut log = client_log(&self.traffic, client);
         if self.engine.ranks.is_some() {
-            for request in &mut log {
-                if let TrafficRequest::Gemm(gemm) = request {
-                    gemm.banks = None;
-                }
-            }
+            strip_bank_overrides(&mut log);
         }
         log
     }
