@@ -6,12 +6,13 @@
 //!   numbers against the simulated ones. `bench-runner --figures` prints
 //!   them and writes the checked-in `FIGURES.md`; the root test
 //!   `tests/paper_figures.rs` fails when a claim leaves its band.
-//! * The **`bench-runner`** binary (workspace root) also measures the
-//!   [`scenario`] registry and emits/compares schema-versioned
-//!   `BENCH_*.json` reports ([`report`]), with tolerance-based regression
-//!   verdicts ([`regress`]) gated in CI. The JSON layer is the
-//!   dependency-free [`json`] module (the build environment has no
-//!   registry access, so no `serde`).
+//! * [`scenario`] is the perf harness: a registry of deterministic
+//!   workloads whose simulated ledgers [`report::render`] writes as
+//!   `BENCH_baseline.json`. The root test `tests/bench_harness.rs` runs
+//!   the whole registry at 1 and 4 workers and requires the committed
+//!   file byte for byte; `bench-runner --out` regenerates it. The JSON
+//!   layer is the dependency-free [`json`] module (the build environment
+//!   has no registry access, so no `serde`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,6 @@
 /// saying `bench::json`.
 pub use netserve::json;
 pub mod figures;
-pub mod regress;
 pub mod report;
 pub mod scenario;
 

@@ -10,13 +10,12 @@
 //! femtoseconds + event counters), the modeled energy, and a fingerprint
 //! of any functional output. Everything in the outcome is deterministic:
 //! two runs on any machine, at any worker count, produce identical
-//! outcomes. Host wall-clock is measured *around* the scenario by
-//! [`run_scenarios`], never inside it, so it stays out of the
-//! deterministic surface.
+//! outcomes, and the harness takes no host clock at all (`benchmark/`
+//! measures host time).
 //!
-//! The registry covers the repo's figure benches at "smoke" (fast, run on
-//! every CI push by the `perf-gate` job) and "full" (adds the large
-//! shapes) granularity.
+//! The whole registry — the 3072-row shape and the 2048-bank machine
+//! included — runs in about a second in release and is held byte for byte
+//! against the committed `BENCH_baseline.json` by `tests/bench_harness.rs`.
 
 use crate::picojoules;
 use dnn::{ModelConfig, Workload};
@@ -30,46 +29,12 @@ use netserve::NetClient;
 use pim_sim::Stats;
 use quant::{BitConfig, NumericFormat, QMatrix};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Which scenario subset a run covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunProfile {
-    /// The fast subset CI's perf gate runs on every push.
-    Smoke,
-    /// Every registered scenario, including the large shapes.
-    Full,
-}
-
-impl RunProfile {
-    /// The profile's canonical name (`smoke` / `full`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RunProfile::Smoke => "smoke",
-            RunProfile::Full => "full",
-        }
-    }
-}
-
-impl std::str::FromStr for RunProfile {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "smoke" => Ok(RunProfile::Smoke),
-            "full" => Ok(RunProfile::Full),
-            other => Err(format!("unknown profile '{other}' (smoke|full)")),
-        }
-    }
-}
 
 /// Execution context a scenario runs under.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioCtx {
     /// Host worker threads for the bank-parallel runtime (never changes a
-    /// simulated number — the runtime is deterministic by construction —
-    /// only the host wall-clock).
+    /// simulated number — the runtime is deterministic by construction).
     pub threads: usize,
 }
 
@@ -91,26 +56,12 @@ pub struct ScenarioOutcome {
     pub checksum: u64,
 }
 
-/// One measured scenario plus its host wall-clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredScenario {
-    /// The scenario's registry name.
-    pub name: String,
-    /// The deterministic outcome.
-    pub outcome: ScenarioOutcome,
-    /// Host wall-clock of the scenario body, in nanoseconds. Excluded
-    /// from regression comparison and from deterministic report output.
-    pub wall_nanos: u128,
-}
-
 /// A registered, callable figure scenario.
 pub struct Scenario {
     /// Unique registry name (stable across PRs — baselines key on it).
     pub name: &'static str,
     /// One-line description shown by `bench-runner --list`.
     pub title: &'static str,
-    /// Whether the smoke profile includes this scenario.
-    pub smoke: bool,
     runner: fn(&ScenarioCtx) -> ScenarioOutcome,
 }
 
@@ -129,107 +80,87 @@ pub fn registry() -> &'static [Scenario] {
         Scenario {
             name: "fig03_placement",
             title: "buffer vs streaming placement arms, functional (small GEMM)",
-            smoke: true,
             runner: placement_scenario,
         },
         Scenario {
             name: "fig09_gemm",
             title: "LoCaLUT GEMM 768x768x128 W1A3, functional on the bank-parallel runtime",
-            smoke: true,
             runner: |ctx| gemm_scenario(ctx, 768),
         },
         Scenario {
             name: "fig09_gemm_wide",
             title: "LoCaLUT GEMM 3072x768x128 W1A3, functional on the bank-parallel runtime",
-            smoke: false,
             runner: |ctx| gemm_scenario(ctx, 3072),
         },
         Scenario {
             name: "fig09_huge",
             title: "LoCaLUT GEMM 768x768x128 W1A3 on the full machine: 32 ranks x 64 banks",
-            smoke: false,
             runner: gemm_huge_scenario,
         },
         Scenario {
             name: "fig14_energy",
             title: "system energy, LoCaLUT vs Naive PIM at 768x768x128 W1A3 (analytic)",
-            smoke: true,
             runner: energy_scenario,
         },
         Scenario {
             name: "fig16_breakdown",
             title: "per-DPU kernel category breakdown, OP+LC+RC at the paper shape (analytic)",
-            smoke: true,
             runner: breakdown_scenario,
         },
         Scenario {
             name: "fig19_serving",
             title: "mixed BERT/OPT serving batch on the runtime worker pool",
-            smoke: false,
             runner: serving_scenario,
         },
         Scenario {
             name: "serve_mixed",
             title:
                 "concurrent scheduler: 3 clients x 4 seeded mixed requests through engine::serve",
-            smoke: true,
             runner: serve_sched_scenario,
         },
         Scenario {
             name: "serve_decode",
             title:
                 "continuous batching: 2 clients x 3 seeded decoder sessions through engine::serve",
-            smoke: true,
             runner: serve_decode_scenario,
         },
         Scenario {
             name: "serve_net",
             title: "network front-end: 2 clients x 3 seeded mixed requests over loopback TCP",
-            smoke: true,
             runner: serve_net_scenario,
         },
         Scenario {
             name: "serve_rank_scale",
             title:
                 "concurrent scheduler on the ranked 32x64 machine: 2 clients x 3 seeded requests",
-            smoke: true,
             runner: serve_rank_scale_scenario,
         },
         Scenario {
             name: "cache_churn",
             title: "LUT cache under a starved byte budget: format churn forces evict + rebuild",
-            smoke: true,
             runner: cache_churn_scenario,
         },
     ]
 }
 
-/// Selects scenarios by profile and optional name filter (substring match).
+/// Selects scenarios by optional name filter (substring match), in
+/// registry order.
 #[must_use]
-pub fn select(profile: RunProfile, filter: Option<&str>) -> Vec<&'static Scenario> {
+pub fn select(filter: Option<&str>) -> Vec<&'static Scenario> {
     registry()
         .iter()
-        .filter(|s| profile == RunProfile::Full || s.smoke)
         .filter(|s| filter.is_none_or(|f| s.name.contains(f)))
         .collect()
 }
 
-/// Runs the given scenarios in registry order, timing each body with the
-/// host monotonic clock.
+/// Runs the given scenarios in order, pairing each outcome with its
+/// registry name — the rows [`crate::report::render`] writes.
 #[must_use]
-pub fn run_scenarios(scenarios: &[&Scenario], ctx: &ScenarioCtx) -> Vec<MeasuredScenario> {
-    scenarios
-        .iter()
-        .map(|s| {
-            let t0 = Instant::now();
-            let outcome = s.run(ctx);
-            MeasuredScenario {
-                name: s.name.to_owned(),
-                outcome,
-                wall_nanos: t0.elapsed().as_nanos(),
-            }
-        })
-        .collect()
+pub fn run_scenarios(
+    scenarios: &[&'static Scenario],
+    ctx: &ScenarioCtx,
+) -> Vec<(&'static str, ScenarioOutcome)> {
+    scenarios.iter().map(|s| (s.name, s.run(ctx))).collect()
 }
 
 fn w1a3() -> (NumericFormat, NumericFormat) {
@@ -275,9 +206,8 @@ fn placement_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
 }
 
 /// Fig. 9 class: a full LoCaLUT GEMM served across a 16-bank shard plan.
-/// The simulated side is the per-bank ledger merge; the host side
-/// (wall-clock, measured by the harness) is what the LUT-kernel hot-path
-/// optimization targets.
+/// The simulated side is the per-bank ledger merge; the host side is
+/// `benchmark/`'s `gemm_wide` workload.
 fn gemm_scenario(ctx: &ScenarioCtx, m: usize) -> ScenarioOutcome {
     let (wf, af) = w1a3();
     let dims = GemmDims { m, k: 768, n: 128 };
@@ -410,8 +340,8 @@ fn serving_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
 /// running sessions one step per dispatch. The returned summary is
 /// deterministic: any interleaving, worker count, and batching policy
 /// merges to these exact integers (the property `tests/serve_concurrent.rs`
-/// and `tests/serve_decode.rs` pin against serial replay), so the perf
-/// gate can hold serving cost to the committed baseline.
+/// and `tests/serve_decode.rs` pin against serial replay), so the
+/// baseline gate can hold serving cost to the committed bytes.
 ///
 /// `strip_bank_overrides` drops the seeded logs' small per-request bank
 /// counts so the engine's own topology governs every GEMM's shard plan.
@@ -527,7 +457,7 @@ fn serve_decode_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
 /// and drain all on the measured path. The outcome is the server's
 /// deterministic summary, so it lands on the same integers regardless of
 /// worker count, connection interleaving, or kernel socket scheduling; the
-/// perf gate holds the wire path's simulated cost to the baseline.
+/// gate holds the wire path's simulated cost to the baseline.
 fn serve_net_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     let traffic = TrafficConfig {
         clients: 2,
@@ -580,10 +510,10 @@ fn serve_net_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
 /// set, driven twice so evicted entries get re-requested and rebuilt. The
 /// outcome — merged ledger, energy, response-checksum fold — is identical
 /// to the same stream on an unbudgeted engine (eviction only ever moves
-/// host wall and counters, the subsystem's core contract), so the perf
-/// gate both pins the simulated cost and holds the evict + rebuild host
-/// path to the committed wall baseline. The body asserts the churn
-/// actually happened: evictions occurred, nothing failed.
+/// host wall and counters, the subsystem's core contract), so the gate
+/// pins the simulated cost of a stream that really evicts and rebuilds.
+/// The body asserts the churn actually happened: evictions occurred,
+/// nothing failed.
 fn cache_churn_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
     // Distinct (wf, af) pairs key distinct LUT images; the budget below
     // holds roughly one of them, so cycling the list keeps the ledger
@@ -644,45 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_profile_is_a_strict_subset_of_full() {
-        let smoke = select(RunProfile::Smoke, None);
-        let full = select(RunProfile::Full, None);
-        assert!(!smoke.is_empty());
-        assert!(smoke.len() < full.len());
-        for s in &smoke {
-            assert!(full.iter().any(|f| f.name == s.name));
-        }
-    }
-
-    #[test]
     fn filter_selects_by_substring() {
-        let hits = select(RunProfile::Full, Some("fig09"));
+        let hits = select(Some("fig09"));
         assert_eq!(hits.len(), 3);
-        assert!(select(RunProfile::Full, Some("no-such-scenario")).is_empty());
-    }
-
-    #[test]
-    fn cheap_scenarios_are_deterministic_and_thread_invariant() {
-        // The two analytic scenarios plus the small functional ones — fast
-        // enough for debug-profile test runs. serve_mixed doubles as the
-        // concurrency check: worker count must not move a single integer.
-        for name in [
-            "fig03_placement",
-            "fig14_energy",
-            "fig16_breakdown",
-            "serve_mixed",
-            "serve_decode",
-            "serve_net",
-            "serve_rank_scale",
-            "cache_churn",
-        ] {
-            let scenario = registry().iter().find(|s| s.name == name).unwrap();
-            let one = scenario.run(&ScenarioCtx { threads: 1 });
-            let four = scenario.run(&ScenarioCtx { threads: 4 });
-            assert_eq!(one, four, "{name} outcome varies with threads");
-            assert!(one.stats.total_seconds() > 0.0, "{name} charged no time");
-            assert!(one.energy_pj > 0, "{name} modeled no energy");
-        }
+        assert!(select(Some("no-such-scenario")).is_empty());
+        assert_eq!(select(None).len(), registry().len());
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl ServeRecorder {
         self.stats.merge(stats);
         self.energy_pj += energy_pj;
         self.infer_requests += 1;
-        self.latencies.push(stats.snapshot().total_femtos);
+        self.latencies.push(stats.total_femtos());
     }
 
     /// Records one session verdict.
@@ -477,7 +477,7 @@ impl ServeRecorder {
         self.energy_pj += energy_pj;
         self.session_requests += 1;
         self.decode_steps += decode_step_femtos.len() as u64;
-        self.latencies.push(stats.snapshot().total_femtos);
+        self.latencies.push(stats.total_femtos());
         self.ttfts.push(ttft_femtos);
         self.decode_latencies.extend_from_slice(decode_step_femtos);
     }
@@ -517,7 +517,7 @@ pub fn gemm_latency_femtos(response: &GemmResponse) -> u128 {
     response
         .per_bank
         .iter()
-        .map(|bank| Stats::from_profile(&bank.profile).snapshot().total_femtos)
+        .map(|bank| Stats::from_profile(&bank.profile).total_femtos())
         .max()
         .unwrap_or(0)
 }

@@ -239,7 +239,7 @@ impl SessionJob {
         let mut ledger = report.profile.host.ledger().clone();
         ledger.merge(report.profile.pim.ledger());
         let step_stats = Stats::from_ledger(&ledger);
-        let femtos = step_stats.snapshot().total_femtos;
+        let femtos = step_stats.total_femtos();
         if step.step.is_some() {
             self.decode_step_femtos.push(femtos);
         } else {
@@ -318,7 +318,7 @@ mod tests {
         assert!(session.ttft_femtos > 0);
         assert_eq!(
             session.ttft_femtos + session.decode_step_femtos.iter().sum::<u128>(),
-            session.stats.snapshot().total_femtos
+            session.stats.total_femtos()
         );
         // Later decode steps attend over more KV context, so cost is
         // monotone nondecreasing along the wave.
@@ -336,7 +336,7 @@ mod tests {
             .unwrap();
         assert_eq!(session.steps(), 1);
         assert!(session.decode_step_femtos.is_empty());
-        assert_eq!(session.ttft_femtos, session.stats.snapshot().total_femtos);
+        assert_eq!(session.ttft_femtos, session.stats.total_femtos());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! generated operand comes from a [SplitMix64] stream keyed on
 //! `(seed, client)`, so two processes — or the `loadgen` binary at two
 //! different worker counts — generate the *identical* workload. That is
-//! what lets the CI smoke job assert byte-identical summaries across
+//! what lets `tests/net_remote.rs` assert byte-identical summaries across
 //! thread counts, and what gives [`crate::serve::replay_serial`] a
 //! well-defined reference log to replay.
 //!

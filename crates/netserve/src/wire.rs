@@ -718,16 +718,9 @@ impl Codec for WireCacheStats {
     }
 }
 
-/// The canonical JSON form of a [`LatencyDigest`] — the one place the
-/// `p50`/`p95`/`p99`/`max`/`total` keys are spelled; `loadgen`'s report
-/// reuses it.
-#[must_use]
-pub fn digest_json(digest: &LatencyDigest) -> Json {
-    digest.to_json()
-}
-
 /// The canonical JSON form of a [`ServeSummary`] (used by the drain
-/// response, the daemon's `--out` file, and the multi-process tests).
+/// response, the daemon's and `loadgen`'s `--out` files, and the
+/// multi-process tests).
 #[must_use]
 pub fn summary_json(summary: &ServeSummary) -> Json {
     summary.to_json()

@@ -12,7 +12,6 @@ use crate::dram::DramBank;
 use crate::processor::Processor;
 use crate::stats::{Category, CycleLedger, Profile};
 use crate::timing::DpuTimings;
-use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Static configuration of one DPU.
 #[derive(Debug, Clone)]
@@ -76,7 +75,6 @@ pub struct Dpu {
     cfg: DpuConfig,
     bank: DramBank,
     ledger: CycleLedger,
-    trace: Option<Trace>,
 }
 
 impl Dpu {
@@ -88,33 +86,6 @@ impl Dpu {
             cfg,
             bank,
             ledger: CycleLedger::new(),
-            trace: None,
-        }
-    }
-
-    /// Enables event tracing with a bounded buffer (see [`crate::trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// Takes the trace buffer (tracing stays enabled with a fresh buffer
-    /// of the same capacity if it was enabled).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        let taken = self.trace.take();
-        if let Some(t) = &taken {
-            self.trace = Some(Trace::with_capacity(t.capacity()));
-        }
-        taken
-    }
-
-    fn record(&mut self, category: Category, seconds: f64, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                at_seconds: self.ledger.total_seconds(),
-                seconds,
-                category,
-                kind,
-            });
         }
     }
 
@@ -140,7 +111,6 @@ impl Dpu {
         let secs = self.bank.stream_read(0, bytes);
         self.ledger.charge(cat, secs);
         self.ledger.dram_read_bytes += bytes;
-        self.record(cat, secs, TraceKind::DramRead { bytes });
     }
 
     /// Streams `bytes` from WRAM back into the bank.
@@ -148,7 +118,6 @@ impl Dpu {
         let secs = self.bank.stream_write(0, bytes);
         self.ledger.charge(cat, secs);
         self.ledger.dram_write_bytes += bytes;
-        self.record(cat, secs, TraceKind::DramWrite { bytes });
     }
 
     /// Charges `n` single-issue instructions to `cat`.
@@ -156,7 +125,6 @@ impl Dpu {
         let secs = self.cfg.timings.instruction_seconds(n);
         self.ledger.charge(cat, secs);
         self.ledger.instructions += n;
-        self.record(cat, secs, TraceKind::Instructions { count: n });
     }
 
     /// Charges `n` WRAM word accesses (single-cycle each, already part of an
@@ -176,11 +144,6 @@ impl Dpu {
         let secs = self.cfg.timings.lut_pair_stream_seconds(n);
         self.ledger.charge(Category::LutLoad, secs);
         self.ledger.dram_read_bytes += bytes;
-        self.record(
-            Category::LutLoad,
-            secs,
-            TraceKind::LutPairStream { pairs: n },
-        );
     }
 
     /// Charges `n` profiled lookup+accumulate composites (`L_local` each),
@@ -207,11 +170,6 @@ impl Dpu {
         self.ledger.instructions += n * total;
         // One reordering access + one canonical access per composite.
         self.ledger.wram_accesses += 2 * n;
-        self.record(
-            Category::CanonicalLookup,
-            l_local * nf,
-            TraceKind::LookupAccum { count: n },
-        );
     }
 
     /// Current total simulated seconds.
@@ -285,37 +243,5 @@ mod tests {
         let expected = 1e6 * dpu.config().timings.lut_entry_pair_stream_seconds;
         assert!((dpu.elapsed_seconds() - expected).abs() < 1e-9);
         assert_eq!(dpu.profile().ledger().dram_read_bytes, 2_000_000);
-    }
-
-    #[test]
-    fn tracing_records_events_in_order() {
-        let mut dpu = Dpu::upmem();
-        dpu.enable_trace(16);
-        dpu.charge_dram_stream(128, Category::DataTransfer);
-        dpu.charge_lookup_accum(10);
-        dpu.charge_instrs(5, Category::Compute);
-        let trace = dpu.take_trace().expect("tracing enabled");
-        assert_eq!(trace.events().len(), 3);
-        assert!(matches!(
-            trace.events()[0].kind,
-            crate::trace::TraceKind::DramRead { bytes: 128 }
-        ));
-        assert!(matches!(
-            trace.events()[1].kind,
-            crate::trace::TraceKind::LookupAccum { count: 10 }
-        ));
-        // Timestamps are non-decreasing and end-aligned.
-        assert!(trace.events()[0].at_seconds <= trace.events()[1].at_seconds);
-        assert!((trace.events()[2].at_seconds - dpu.elapsed_seconds()).abs() < 1e-15);
-        // Taking the trace re-arms a fresh buffer.
-        dpu.charge_instrs(1, Category::Other);
-        assert_eq!(dpu.take_trace().unwrap().events().len(), 1);
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let mut dpu = Dpu::upmem();
-        dpu.charge_instrs(5, Category::Compute);
-        assert!(dpu.take_trace().is_none());
     }
 }

@@ -53,7 +53,6 @@ pub mod processor;
 pub mod stats;
 pub mod system;
 pub mod timing;
-pub mod trace;
 
 pub use dpu::{Dpu, DpuConfig};
 pub use dram::DramBank;
@@ -62,7 +61,6 @@ pub use processor::{InstrClass, Processor};
 pub use stats::{Category, CounterSnapshot, CycleLedger, Profile, Stats};
 pub use system::{PimSystem, SystemConfig, SystemProfile};
 pub use timing::DpuTimings;
-pub use trace::{Trace, TraceEvent, TraceKind};
 
 /// Errors produced by the simulator's fallible operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -419,11 +419,19 @@ impl Stats {
         self.femtos[category.index()] as f64 / FEMTOS_PER_SECOND
     }
 
+    /// Total simulated femtoseconds across all categories (the exact
+    /// integer sum; what [`CounterSnapshot::total_femtos`] also holds,
+    /// without building a snapshot).
+    #[must_use]
+    pub fn total_femtos(&self) -> u128 {
+        self.femtos.iter().sum()
+    }
+
     /// Total simulated seconds across all categories, summed exactly in
     /// femtoseconds first.
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
-        self.femtos.iter().sum::<u128>() as f64 / FEMTOS_PER_SECOND
+        self.total_femtos() as f64 / FEMTOS_PER_SECOND
     }
 }
 
@@ -480,7 +488,7 @@ impl Stats {
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             banks: self.banks,
-            total_femtos: self.femtos.iter().sum(),
+            total_femtos: self.total_femtos(),
             category_femtos: Category::ALL
                 .iter()
                 .map(|&c| (c, self.femtos[c.index()]))
@@ -722,6 +730,7 @@ mod tests {
             snap.total_femtos,
             merged.femtoseconds(Category::Compute) + merged.femtoseconds(Category::LutLoad)
         );
+        assert_eq!(merged.total_femtos(), snap.total_femtos);
         // Non-zero categories only, in display order.
         assert_eq!(
             snap.category_femtos,

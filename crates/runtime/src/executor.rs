@@ -663,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn map_steals_ragged_work_without_reordering() {
+    fn map_claims_ragged_work_without_reordering() {
         // Item 0 is a straggler: the worker that claimed it sleeps while
         // the others claim everything else. Results must still come back
         // in item order, every run.

@@ -8,9 +8,9 @@
 //! counts, values checksum, merged simulated femtoseconds, latency
 //! percentiles, energy — is **byte-identical for any `--threads`,
 //! `--clients`-scheduling, `--max-batch`, `--mode`, or transport** over the
-//! same `(--clients, --requests, --mix, --seed)` workload. CI's smoke job
-//! asserts exactly that by diffing an in-process run's JSON against a
-//! remote run's.
+//! same `(--clients, --requests, --mix, --seed)` workload.
+//! `tests/net_remote.rs` asserts exactly that by comparing in-process runs'
+//! JSON against a remote run's.
 //!
 //! ```sh
 //! loadgen --clients 4 --requests 8 --mix mixed --seed 42 --threads 4
@@ -49,7 +49,7 @@
 use bench::json::Json;
 use engine::serve::{drive_client, replay_serial, ArrivalMode, ServeConfig, ServeRecorder, Server};
 use engine::traffic::{client_log, strip_bank_overrides, Mix, TrafficConfig, TrafficRequest};
-use engine::{EngineError, Rejection, ServeReport, ServeSummary};
+use engine::{EngineError, Rejection, ServeSummary};
 use localut_repro::cli::{self, print_cache_lines, CliError, EngineFlags, Flags};
 use netserve::wire::{self, WireRequest, WireResponse};
 use netserve::NetClient;
@@ -65,7 +65,6 @@ struct Args {
     mode: ArrivalMode,
     engine: EngineFlags,
     out: Option<String>,
-    keep_host: bool,
     verify_serial: bool,
     remote: Option<String>,
     client_offset: usize,
@@ -113,7 +112,7 @@ const USAGE: &str = "usage: loadgen [--clients N] [--requests N] \
 [--mix gemm|infer|mixed|decode|chat] [--decode-tokens N] \
 [--seed S] [--threads N] [--engine-threads N] [--max-batch N] [--mode open|closed] \
 [--ranks N [--banks-per-rank N]] [--cache-dir DIR] [--cache-budget BYTES] \
-[--out FILE] [--keep-host] [--verify-serial] \
+[--out FILE] [--verify-serial] \
 [--remote HOST:PORT [--client-offset N] [--client-count N] [--drain]]";
 
 fn parse_args() -> Result<Args, CliError> {
@@ -131,7 +130,6 @@ fn parse_args() -> Result<Args, CliError> {
         mode: ArrivalMode::Closed,
         engine: EngineFlags::default(),
         out: None,
-        keep_host: false,
         verify_serial: false,
         remote: None,
         client_offset: 0,
@@ -156,7 +154,6 @@ fn parse_args() -> Result<Args, CliError> {
             "--max-batch" => args.max_batch = flags.positive("--max-batch")?,
             "--mode" => args.mode = flags.parsed("--mode")?,
             "--out" => args.out = Some(flags.value("--out")?),
-            "--keep-host" => args.keep_host = true,
             "--verify-serial" => args.verify_serial = true,
             "--remote" => args.remote = Some(flags.value("--remote")?),
             "--client-offset" => args.client_offset = flags.parsed("--client-offset")?,
@@ -190,11 +187,6 @@ fn parse_args() -> Result<Args, CliError> {
             "--cache-dir/--cache-budget configure the in-process engine; set them on serve-daemon for remote runs",
         ));
     }
-    if args.remote.is_some() && args.keep_host {
-        return Err(flags.usage_error(
-            "--keep-host reports in-process scheduler observables; drop it with --remote",
-        ));
-    }
     if args.verify_serial && args.remote.is_some() && !args.drives_full_workload() {
         return Err(flags.usage_error(
             "--verify-serial needs the full workload: drop --client-offset/--client-count",
@@ -206,8 +198,7 @@ fn parse_args() -> Result<Args, CliError> {
 /// The deterministic JSON body: workload identity + summary. Host knobs
 /// (threads, arrival mode, batching, transport) are deliberately excluded —
 /// they must not change a single byte here.
-fn summary_json(args: &Args, summary: &ServeSummary) -> Vec<(&'static str, Json)> {
-    let snap = summary.stats.snapshot();
+fn report_json(args: &Args, summary: &ServeSummary) -> Json {
     let mut workload = vec![
         ("clients", Json::UInt(args.traffic.clients as u128)),
         (
@@ -218,8 +209,7 @@ fn summary_json(args: &Args, summary: &ServeSummary) -> Vec<(&'static str, Json)
         ("seed", Json::UInt(u128::from(args.traffic.seed))),
     ];
     // Only the session-bearing mixes consume the decode budget, so only
-    // they record it as part of the workload identity; legacy-mix JSON
-    // stays byte-for-byte what it was before sessions existed.
+    // they record it as part of the workload identity.
     if matches!(args.traffic.mix, Mix::Decode | Mix::Chat) {
         workload.push((
             "decode_tokens",
@@ -227,110 +217,16 @@ fn summary_json(args: &Args, summary: &ServeSummary) -> Vec<(&'static str, Json)
         ));
     }
     // The ranked topology rewrites the workload (bank overrides are
-    // stripped), so it is part of the deterministic identity; flat runs
-    // keep the pre-scale-out block byte-for-byte.
+    // stripped), so it is part of the deterministic identity.
     if let Some((ranks, banks_per_rank)) = args.engine.ranked() {
         workload.push(("ranks", Json::UInt(u128::from(ranks))));
         workload.push(("banks_per_rank", Json::UInt(u128::from(banks_per_rank))));
     }
-    vec![
-        ("schema", Json::Str("loadgen-v1".to_owned())),
-        ("workload", Json::object(workload)),
-        (
-            "summary",
-            Json::object(vec![
-                ("requests", Json::UInt(u128::from(summary.requests))),
-                (
-                    "gemm_requests",
-                    Json::UInt(u128::from(summary.gemm_requests)),
-                ),
-                (
-                    "infer_requests",
-                    Json::UInt(u128::from(summary.infer_requests)),
-                ),
-                (
-                    "session_requests",
-                    Json::UInt(u128::from(summary.session_requests)),
-                ),
-                ("decode_steps", Json::UInt(u128::from(summary.decode_steps))),
-                (
-                    "failed_requests",
-                    Json::UInt(u128::from(summary.failed_requests)),
-                ),
-                ("sim_femtos", Json::UInt(snap.total_femtos)),
-                ("bank_profiles", Json::UInt(u128::from(snap.banks))),
-                ("instructions", Json::UInt(snap.instructions)),
-                ("energy_pj", Json::UInt(summary.energy_pj)),
-                ("values_checksum", Json::UInt(u128::from(summary.checksum))),
-                // Integer femtoseconds; all zeros when the run produced
-                // no samples of that kind.
-                ("latency_femtos", wire::digest_json(&summary.latency)),
-                ("ttft_femtos", wire::digest_json(&summary.ttft)),
-                ("decode_step_femtos", wire::digest_json(&summary.decode)),
-            ]),
-        ),
-    ]
-}
-
-/// Host-dependent observables, attached only under `--keep-host` (they
-/// vary with scheduling, so including them forfeits byte-reproducibility).
-fn host_json(args: &Args, report: &ServeReport, wall_nanos: u128) -> Json {
     Json::object(vec![
-        ("threads", Json::UInt(args.threads as u128)),
-        ("engine_threads", Json::UInt(args.engine_threads as u128)),
-        ("max_batch", Json::UInt(args.max_batch as u128)),
-        (
-            "mode",
-            Json::Str(
-                match args.mode {
-                    ArrivalMode::Open => "open",
-                    ArrivalMode::Closed => "closed",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("wall_nanos", Json::UInt(wall_nanos)),
-        ("dispatches", Json::UInt(u128::from(report.dispatches))),
-        (
-            "coalesced_requests",
-            Json::UInt(u128::from(report.coalesced_requests)),
-        ),
-        (
-            "largest_batch",
-            Json::UInt(u128::from(report.largest_batch)),
-        ),
-        (
-            "lut_cache",
-            Json::object(vec![
-                ("hits", Json::UInt(u128::from(report.lut_cache.hits))),
-                ("misses", Json::UInt(u128::from(report.lut_cache.misses))),
-                (
-                    "evictions",
-                    Json::UInt(u128::from(report.lut_cache.evictions)),
-                ),
-                (
-                    "resident_bytes",
-                    Json::UInt(u128::from(report.lut_cache.resident_bytes)),
-                ),
-                (
-                    "failed_builds",
-                    Json::UInt(u128::from(report.lut_cache.failed_builds)),
-                ),
-                (
-                    "restored",
-                    Json::UInt(u128::from(report.lut_cache.restored)),
-                ),
-                ("entries", Json::UInt(report.lut_cache.entries as u128)),
-            ]),
-        ),
-        (
-            "plan_memo",
-            Json::object(vec![
-                ("hits", Json::UInt(u128::from(report.plan_memo.hits))),
-                ("misses", Json::UInt(u128::from(report.plan_memo.misses))),
-                ("entries", Json::UInt(report.plan_memo.entries as u128)),
-            ]),
-        ),
+        ("schema", Json::Str("loadgen-v2".to_owned())),
+        ("workload", Json::object(workload)),
+        // The same object `serve-daemon --out` and the drain ack carry.
+        ("summary", wire::summary_json(summary)),
     ])
 }
 
@@ -338,7 +234,6 @@ fn host_json(args: &Args, report: &ServeReport, wall_nanos: u128) -> Json {
 /// deliberately omits.
 fn print_summary_table(summary: &ServeSummary, wall_nanos: u128, extras: &[(String, String)]) {
     let mut table = bench::Table::new(&["metric", "value"]);
-    let snap = summary.stats.snapshot();
     table.row(vec![
         "requests (gemm + infer + session)".into(),
         format!(
@@ -352,7 +247,7 @@ fn print_summary_table(summary: &ServeSummary, wall_nanos: u128, extras: &[(Stri
     table.row(vec!["failed".into(), summary.failed_requests.to_string()]);
     table.row(vec![
         "simulated work (ms)".into(),
-        format!("{:.4}", snap.total_femtos as f64 / 1e12),
+        format!("{:.4}", summary.stats.total_femtos() as f64 / 1e12),
     ]);
     table.row(vec![
         "latency p50/p95/p99 (us, simulated)".into(),
@@ -408,23 +303,18 @@ fn print_summary_table(summary: &ServeSummary, wall_nanos: u128, extras: &[(Stri
     table.print();
 }
 
-fn write_out(args: &Args, summary: &ServeSummary, host: Option<Json>) -> Result<(), String> {
+fn write_out(args: &Args, summary: &ServeSummary) -> Result<(), String> {
     let Some(path) = &args.out else {
         return Ok(());
     };
-    let mut pairs = summary_json(args, summary);
-    let reproducible = host.is_none() && args.drives_full_workload();
-    if let Some(host) = host {
-        pairs.push(("host", host));
-    }
-    let text = Json::object(pairs).to_pretty();
+    let text = report_json(args, summary).to_pretty();
     std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!(
         "wrote {path} ({})",
-        if reproducible {
+        if args.drives_full_workload() {
             "deterministic: byte-identical at any thread count or transport"
         } else {
-            "covers only this process's slice / host fields — not byte-reproducible"
+            "covers only this process's slice — not byte-reproducible"
         }
     );
     Ok(())
@@ -501,8 +391,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     if args.verify_serial {
         verify_serial_replay(args, summary)?;
     }
-    let host = args.keep_host.then(|| host_json(args, &report, wall_nanos));
-    write_out(args, summary, host)?;
+    write_out(args, summary)?;
     Ok(exit_by_failures(summary))
 }
 
@@ -615,7 +504,7 @@ fn run_remote(args: &Args, addr: &str) -> Result<ExitCode, String> {
     if args.verify_serial {
         verify_serial_replay(args, &summary)?;
     }
-    write_out(args, &summary, None)?;
+    write_out(args, &summary)?;
 
     if args.drain {
         let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;

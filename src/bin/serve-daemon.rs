@@ -14,7 +14,7 @@
 //!
 //! The `--log` file holds one canonical compact-JSON line per *executed*
 //! request; replaying it through `engine::serve::replay_serial` rebuilds
-//! the `--out` summary bit for bit (CI pins this). Backpressure knobs:
+//! the `--out` summary bit for bit (`tests/net_remote.rs` pins this). Backpressure knobs:
 //! `--queue-cap` bounds the submission queue (excess requests get typed
 //! retry-after rejections), `--quota` caps admissions per connection,
 //! `--max-conns` caps concurrent connections. `--ranks R

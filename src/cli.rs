@@ -6,7 +6,7 @@
 //!
 //! * `--help`/`-h` prints the usage line and **exits 0** everywhere;
 //! * usage errors print to stderr and **exit 2** (reserving 1 for "ran
-//!   but failed": a perf-gate regression, a failed request);
+//!   but failed": a figure claim outside its band, a failed request);
 //! * common flags spell the same way and validate the same way —
 //!   `--threads` is a positive integer, `--seed` a `u64`, `--out` a file
 //!   path;

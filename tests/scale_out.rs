@@ -4,8 +4,9 @@
 //! 1. A 2048-shard ranked run is **bit-identical** for worker counts
 //!    {1, 4, 16} — values, per-bank profiles, merged stats, rank stats,
 //!    and the contention phase.
-//! 2. Work stealing is **deterministic**: repeated ragged runs land on
-//!    the same bytes every time, regardless of who stole what.
+//! 2. The shared work cursor is **deterministic**: repeated ragged runs
+//!    land on the same bytes every time, regardless of which worker
+//!    claimed which shard.
 //! 3. The rank merge tree is **exact**: per-rank ledgers fold to the same
 //!    `Stats` as the flat shard-order fold, bit for bit, and the engine's
 //!    ranked topology only adds the rank-bus phase on top of it.
@@ -62,14 +63,14 @@ fn full_machine_2048_banks_bit_identical_across_worker_counts() {
 }
 
 /// Contract 2: repeated runs of a ragged near-full-machine plan (uneven
-/// edge tiles make steal timing vary wildly) produce the same bytes every
-/// time on a many-worker executor.
+/// edge tiles make the claim order vary wildly) produce the same bytes
+/// every time on a many-worker executor.
 #[test]
-fn work_stealing_runs_are_deterministic_under_raggedness() {
+fn shared_cursor_runs_are_deterministic_under_raggedness() {
     // 65 × 33 does not divide the machine evenly: the edge tiles are
     // half the size of the interior tiles (65 rows in 2-row tiles leave a
-    // 1-row remainder), so workers finish out of sync and the stealing
-    // pattern differs run to run.
+    // 1-row remainder), so workers finish out of sync and which worker
+    // claims which shard off the cursor differs run to run.
     let dims = GemmDims { m: 65, k: 9, n: 33 };
     let (w, a) = operands(dims, 7);
     let cfg = GemmConfig::upmem();
