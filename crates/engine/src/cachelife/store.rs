@@ -6,7 +6,8 @@
 //! ```text
 //! <dir>/manifest.lcm          magic "LCLM", version, entry table, FNV-64
 //! <dir>/lut-<keyhex>.bin      magic "LCLT", version, key, canonical
-//!                             image (i32 LE), reorder image (u64 LE),
+//!                             image (i32 LE), reorder image (LE at its
+//!                             stored width: 1, 2 or 4 bytes an entry),
 //!                             FNV-64 over everything before it
 //! ```
 //!
@@ -27,7 +28,7 @@ use super::lru::LutKey;
 use localut::canonical::CanonicalLut;
 use localut::kernels::SharedLuts;
 use localut::plan::Placement;
-use localut::reorder::ReorderLut;
+use localut::reorder::{ReorderEntries, ReorderLut};
 use quant::NumericFormat;
 use runtime::fnv1a_64;
 use std::fmt;
@@ -37,8 +38,9 @@ use std::path::{Path, PathBuf};
 const MANIFEST_MAGIC: [u8; 4] = *b"LCLM";
 /// Image-file magic bytes.
 const IMAGE_MAGIC: [u8; 4] = *b"LCLT";
-/// On-disk format version (bumped on any incompatible layout change).
-const VERSION: u16 = 1;
+/// On-disk format version (bumped on any incompatible layout change;
+/// 2 = reorder entries at their stored width instead of 8 bytes each).
+const VERSION: u16 = 2;
 /// Manifest file name inside a cache directory.
 const MANIFEST_NAME: &str = "manifest.lcm";
 /// Bytes of one encoded [`LutKey`].
@@ -258,14 +260,9 @@ fn finish_with_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
 fn encode_image(key: LutKey, luts: &SharedLuts) -> Vec<u8> {
     let canonical = luts.canonical();
     let reorder = luts.reorder();
+    let reorder_bytes = (reorder.entry_count() * reorder.entries().entry_bytes()) as usize;
     let mut out = Vec::with_capacity(
-        4 + 2
-            + KEY_BYTES
-            + 16
-            + canonical.entries().len() * 4
-            + 17
-            + reorder.entries().len() * 8
-            + 8,
+        4 + 2 + KEY_BYTES + 16 + canonical.entries().len() * 4 + 17 + reorder_bytes + 8,
     );
     out.extend_from_slice(&IMAGE_MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -278,9 +275,7 @@ fn encode_image(key: LutKey, luts: &SharedLuts) -> Vec<u8> {
     out.push(reorder.bits());
     out.extend_from_slice(&reorder.rows().to_le_bytes());
     out.extend_from_slice(&reorder.cols().to_le_bytes());
-    for &v in reorder.entries() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    reorder.entries().extend_le_bytes(&mut out);
     finish_with_checksum(out)
 }
 
@@ -296,42 +291,54 @@ fn decode_image(bytes: &[u8], path: &Path) -> Result<(LutKey, SharedLuts), Store
         path: path.display().to_string(),
         detail,
     };
-    let count = |rows: u64, cols: u64| -> Result<usize, StoreError> {
-        usize::try_from(
-            rows.checked_mul(cols)
-                .ok_or_else(|| corrupt(format!("image shape {rows} x {cols} overflows")))?,
-        )
-        .map_err(|_| corrupt(format!("image shape {rows} x {cols} exceeds host memory")))
-    };
-    let (rows, cols) = (r.u64()?, r.u64()?);
-    let mut canonical_entries = Vec::with_capacity(count(rows, cols)?);
-    for _ in 0..count(rows, cols)? {
-        let b = r.take(4)?;
-        canonical_entries.push(i32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-    }
-    let canonical = CanonicalLut::<i32>::from_parts(key.wf, key.af, key.p, canonical_entries)
+    // Both shapes come from the key; the file's own headers are only ever
+    // compared with them, so nothing the file declares sizes a read or an
+    // allocation — an image is at most what its key derives, and `take`
+    // refuses to go past the bytes that are really there.
+    let bits = key.wf.bits();
+    let canonical_shape = CanonicalLut::<i32>::shape(key.wf, key.af, key.p)
         .map_err(|e| corrupt(format!("canonical image: {e}")))?;
-    if (canonical.rows(), canonical.cols()) != (rows, cols) {
+    let reorder_shape =
+        ReorderLut::shape(bits, key.p).map_err(|e| corrupt(format!("reorder image: {e}")))?;
+    let width = ReorderLut::stored_entry_bytes(bits, key.p)
+        .map_err(|e| corrupt(format!("reorder image: {e}")))?;
+    let image_bytes = |(rows, cols): (u64, u64), width: u64| -> Result<usize, StoreError> {
+        rows.checked_mul(cols)
+            .and_then(|entries| entries.checked_mul(width))
+            .and_then(|bytes| usize::try_from(bytes).ok())
+            .ok_or_else(|| corrupt(format!("image shape {rows} x {cols} exceeds host memory")))
+    };
+
+    let declared = (r.u64()?, r.u64()?);
+    if declared != canonical_shape {
         return Err(corrupt(format!(
-            "canonical shape {rows} x {cols} does not match the key"
+            "canonical shape {} x {} does not match the key",
+            declared.0, declared.1
         )));
     }
-    let bits = r.take(1)?[0];
-    let (rrows, rcols) = (r.u64()?, r.u64()?);
-    let mut reorder_entries = Vec::with_capacity(count(rrows, rcols)?);
-    for _ in 0..count(rrows, rcols)? {
-        reorder_entries.push(r.u64()?);
+    let canonical_entries = r
+        .take(image_bytes(canonical_shape, 4)?)?
+        .chunks_exact(4)
+        .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    let canonical = CanonicalLut::<i32>::from_parts(key.wf, key.af, key.p, canonical_entries)
+        .map_err(|e| corrupt(format!("canonical image: {e}")))?;
+
+    let declared = (r.take(1)?[0], r.u64()?, r.u64()?);
+    if declared != (bits, reorder_shape.0, reorder_shape.1) {
+        return Err(corrupt(format!(
+            "reorder shape {} x {} at {} bits does not match the key",
+            declared.1, declared.2, declared.0
+        )));
     }
+    let reorder_entries =
+        ReorderEntries::from_le_bytes(width, r.take(image_bytes(reorder_shape, width)?)?)
+            .ok_or_else(|| corrupt(format!("reorder image: no {width}-byte entry width")))?;
     if r.at != r.bytes.len() {
         return Err(corrupt("trailing bytes after the reorder image".to_owned()));
     }
     let reorder = ReorderLut::from_parts(bits, key.p, reorder_entries)
         .map_err(|e| corrupt(format!("reorder image: {e}")))?;
-    if (reorder.rows(), reorder.cols()) != (rrows, rcols) {
-        return Err(corrupt(format!(
-            "reorder shape {rrows} x {rcols} does not match the key"
-        )));
-    }
     let luts = SharedLuts::from_parts(canonical, reorder)
         .map_err(|e| corrupt(format!("image pair: {e}")))?;
     Ok((key, luts))
@@ -467,16 +474,28 @@ mod tests {
         (key, SharedLuts::build(key.wf, key.af, key.p).unwrap())
     }
 
+    /// One image per stored reorder width (4, 10 and 18 index bits).
     #[test]
     fn roundtrip_is_bitwise_identical() {
         let dir = tempdir("roundtrip");
+        let wide = LutKey {
+            wf: NumericFormat::Int(9),
+            af: NumericFormat::Int(2),
+            p: 2,
+            placement: Placement::BufferResident,
+        };
         let entries = vec![
             sample_entry(2, Placement::BufferResident),
-            sample_entry(3, Placement::Streaming),
+            sample_entry(5, Placement::Streaming),
+            (wide, SharedLuts::build(wide.wf, wide.af, wide.p).unwrap()),
         ];
+        let widths = entries
+            .iter()
+            .map(|(_, luts)| luts.reorder().entries().entry_bytes());
+        assert_eq!(widths.collect::<Vec<_>>(), [1, 2, 4]);
         save(&dir, &entries).unwrap();
         let loaded = load(&dir).unwrap();
-        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.len(), 3);
         for ((key, built), (lkey, restored)) in entries.iter().zip(&loaded) {
             assert_eq!(key, lkey);
             assert_eq!(built.canonical().entries(), restored.canonical().entries());
@@ -553,6 +572,84 @@ mod tests {
             StoreError::UnsupportedVersion { version: 99, .. }
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What 138db6a and earlier wrote (`VERSION` 1, 8-byte reorder
+    /// entries) is refused by version, and the engine starts cold, serves,
+    /// and overwrites it with a store this build reads.
+    #[test]
+    fn version_1_store_is_a_typed_error_and_a_working_cold_start() {
+        use crate::{Engine, GemmRequest};
+        use quant::QMatrix;
+
+        let dir = tempdir("version-1");
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        manifest.extend_from_slice(&1u16.to_le_bytes());
+        manifest.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(manifest_path(&dir), finish_with_checksum(manifest)).unwrap();
+        assert!(matches!(
+            load(&dir).unwrap_err(),
+            StoreError::UnsupportedVersion { version: 1, .. }
+        ));
+
+        let open = || {
+            Engine::builder()
+                .threads(1)
+                .banks(2)
+                .cache_dir(&dir)
+                .build()
+        };
+        let engine = open();
+        assert!(matches!(
+            engine.cache_restore_error(),
+            Some(StoreError::UnsupportedVersion { version: 1, .. })
+        ));
+        let request = GemmRequest::new(
+            QMatrix::pseudo_random(6, 8, NumericFormat::Int(2), 1),
+            QMatrix::pseudo_random(8, 3, NumericFormat::Int(3), 2),
+        );
+        let cold = engine.submit(&request).unwrap();
+        engine.persist_cache().unwrap();
+        let warm = open();
+        assert!(warm.cache_restore_error().is_none());
+        assert_eq!(warm.lut_cache_stats().entries, 1);
+        assert_eq!(warm.submit(&request).unwrap().checksum, cold.checksum);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Headers that disagree with the key — under a checksum that is valid,
+    /// so only the shape check stands between the file and the allocator.
+    /// Before the shapes were derived from the key first, the 2^40-entry
+    /// row sized a `Vec::with_capacity` of 4 TiB.
+    #[test]
+    fn image_headers_that_disagree_with_the_key_are_corrupt_before_any_read() {
+        let (key, luts) = sample_entry(2, Placement::BufferResident);
+        let path = Path::new("lut-under-test.bin");
+        let image = encode_image(key, &luts);
+        assert!(decode_image(&image, path).is_ok());
+        let canonical_rows = 4 + 2 + KEY_BYTES;
+        let reorder_bits = canonical_rows + 16 + luts.canonical().entries().len() * 4;
+        let resealed = |at: usize, bytes: &[u8]| {
+            let mut body = image[..image.len() - 8].to_vec();
+            body[at..at + bytes.len()].copy_from_slice(bytes);
+            finish_with_checksum(body)
+        };
+        let table = [
+            (canonical_rows, (1u64 << 40).to_le_bytes().to_vec()),
+            (canonical_rows + 8, u64::MAX.to_le_bytes().to_vec()),
+            (reorder_bits, vec![luts.reorder().bits() + 1]),
+            (reorder_bits + 1, (1u64 << 40).to_le_bytes().to_vec()),
+            (reorder_bits + 9, 0u64.to_le_bytes().to_vec()),
+        ];
+        for (at, bytes) in table {
+            let err = decode_image(&resealed(at, &bytes), path).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{at}: {err}");
+        }
+        // A key whose own shape is out of range is refused the same way.
+        let mut absurd = key_bytes(key);
+        absurd[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_image(&resealed(6, &absurd), path).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
     #[test]

@@ -52,6 +52,27 @@ pub struct CanonicalLut<V> {
 }
 
 impl<V: LutValue> CanonicalLut<V> {
+    /// `(rows, cols)` of the canonical LUT for `(wf, af, p)`:
+    /// `2^(bw·p)` packed weight rows by `C(2^ba + p − 1, p)` sorted
+    /// activation multisets (Eq. 1) — what [`CanonicalLut::build`]
+    /// materializes, derived without building it.
+    ///
+    /// # Errors
+    ///
+    /// * [`LocaLutError::IndexSpaceTooWide`] when a packed index exceeds
+    ///   48 bits.
+    /// * [`LocaLutError::InvalidPackingDegree`] when the column count
+    ///   overflows.
+    pub fn shape(wf: NumericFormat, af: NumericFormat, p: u32) -> Result<(u64, u64), LocaLutError> {
+        check_index_width(wf.bits(), p)?;
+        check_index_width(af.bits(), p)?;
+        let rows = 1u64 << (u32::from(wf.bits()) * p);
+        let cols = multiset::multiset_count(u64::from(af.code_space()), p)
+            .and_then(|cols| u64::try_from(cols).ok())
+            .ok_or(LocaLutError::InvalidPackingDegree(p))?;
+        Ok((rows, cols))
+    }
+
     /// Precomputes the canonical LUT.
     ///
     /// # Errors
@@ -66,20 +87,15 @@ impl<V: LutValue> CanonicalLut<V> {
         p: u32,
         max_entries: u64,
     ) -> Result<Self, LocaLutError> {
-        check_index_width(wf.bits(), p)?;
-        check_index_width(af.bits(), p)?;
-        let rows = 1u64 << (u32::from(wf.bits()) * p);
+        let (rows, cols) = Self::shape(wf, af, p)?;
         let n_codes = u64::from(af.code_space());
-        let cols_u128 =
-            multiset::multiset_count(n_codes, p).ok_or(LocaLutError::InvalidPackingDegree(p))?;
-        let total = u128::from(rows) * cols_u128;
+        let total = u128::from(rows) * u128::from(cols);
         if total > u128::from(max_entries) {
             return Err(LocaLutError::BudgetExceeded {
                 required: total,
                 budget: max_entries,
             });
         }
-        let cols = cols_u128 as u64;
         // Decode tables hoisted out of the per-entry loop: a weight field
         // has only `2^bw` codes and a column only `p` activation codes, so
         // each entry reduces to `p` table lookups accumulated in the same
@@ -135,13 +151,8 @@ impl<V: LutValue> CanonicalLut<V> {
         p: u32,
         entries: Vec<V>,
     ) -> Result<Self, LocaLutError> {
-        check_index_width(wf.bits(), p)?;
-        check_index_width(af.bits(), p)?;
-        let rows = 1u64 << (u32::from(wf.bits()) * p);
-        let n_codes = u64::from(af.code_space());
-        let cols_u128 =
-            multiset::multiset_count(n_codes, p).ok_or(LocaLutError::InvalidPackingDegree(p))?;
-        if u128::from(rows) * cols_u128 != entries.len() as u128 {
+        let (rows, cols) = Self::shape(wf, af, p)?;
+        if u128::from(rows) * u128::from(cols) != entries.len() as u128 {
             return Err(LocaLutError::UnsupportedFormat(
                 "canonical LUT entry count does not match the (wf, af, p) shape",
             ));
@@ -151,7 +162,7 @@ impl<V: LutValue> CanonicalLut<V> {
             af,
             p,
             rows,
-            cols: cols_u128 as u64,
+            cols,
             entries,
         })
     }

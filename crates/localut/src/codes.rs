@@ -75,8 +75,11 @@ impl PackedCodes {
         let groups = w.cols().div_ceil(p);
         let mut words = vec![0u64; groups * lanes];
         for m in 0..lanes {
-            for (k, &code) in w.row(m).iter().enumerate() {
-                words[(k / p) * lanes + m] |= u64::from(code) << (usize::from(bits) * (k % p));
+            // One register-assembled word and one store per group.
+            for (kb, group) in w.row(m).chunks(p).enumerate() {
+                words[kb * lanes + m] = group.iter().rev().fold(0u64, |acc, &code| {
+                    acc << usize::from(bits) | u64::from(code)
+                });
             }
         }
         PackedCodes {

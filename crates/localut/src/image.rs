@@ -71,7 +71,7 @@ impl ReorderLut {
         let width = reorder_entry_bytes(self.bits(), self.p());
         let mut out = Vec::with_capacity((self.entry_count() * width) as usize);
         for perm_id in 0..self.cols() {
-            for &entry in self.column_slice(perm_id) {
+            for entry in self.column(perm_id) {
                 push_uint(&mut out, entry, width);
             }
         }

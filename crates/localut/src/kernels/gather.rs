@@ -1,14 +1,15 @@
 //! The one blocked driver and the four gathers it is monomorphised over.
 //!
 //! Every LUT arm walks the same loop nest — K-block, then an N-tile of
-//! `TILE ∈ {N_TILE, k_slices}` activation columns, then one linear M-pass
-//! over the K-block's packed weight words (diagram: DESIGN.md §12). What
-//! differs between arms is only what "resolve a tile's columns" and
-//! "accumulate one weight word into the tile" mean; a [`Gather`] is that
-//! pair. [`drive`] is generic over it, so each arm compiles to its own
-//! branch-free inner loop with no `dyn` call anywhere.
+//! [`N_TILE`] activation columns, then one linear M-pass over the K-block's
+//! packed weight words (diagram: DESIGN.md §12). What differs between arms
+//! is only what "resolve a tile's columns" and "accumulate one weight word
+//! into the tile" mean; a [`Gather`] is that pair. [`drive`] is generic
+//! over it, so each arm compiles to its own inner loop with no `dyn` call
+//! anywhere. The tile width is a host loop shape only: what a streamed
+//! arm's `k_slices` costs is priced by `KernelSpec::charge`, not walked.
 
-use super::SharedLuts;
+use super::{SharedLuts, N_TILE};
 use crate::canonical::CanonicalLut;
 use crate::codes::{ActivationPanel, GroupScratch, PackedCodes};
 use crate::packed::{pack_index, OpPackedLut};
@@ -27,6 +28,10 @@ pub(super) trait Gather {
     /// Resolves activation group `(kb, n)` of the current tile.
     fn resolve(&mut self, kb: usize, n: usize) -> Result<Self::Col, LocaLutError>;
 
+    /// Closes the tile once all its columns are resolved, before the
+    /// M-pass: the place for work shared by every weight word of the pass.
+    fn seal_tile(&mut self, _cols: &[Self::Col]) {}
+
     /// Accumulates one packed weight group against the tile's resolved
     /// columns; `out` is the tile's slice of that weight row's output row.
     fn accumulate(&mut self, word: u64, cols: &[Self::Col], out: &mut [i32]);
@@ -39,15 +44,14 @@ pub(super) fn drive<G: Gather>(
     mut gather: G,
     wpacked: &PackedCodes,
     n: usize,
-    tile: usize,
 ) -> Result<Vec<i32>, LocaLutError> {
     let mut values = vec![0i32; wpacked.lanes() * n];
-    let mut cols = Vec::with_capacity(tile.min(n));
+    let mut cols = Vec::with_capacity(N_TILE.min(n));
     for kb in 0..wpacked.groups() {
         // Contiguous in m — the M-pass below is a linear scan.
         let wcol = wpacked.group(kb);
-        for n0 in (0..n).step_by(tile) {
-            let n1 = n.min(n0 + tile);
+        for n0 in (0..n).step_by(N_TILE) {
+            let n1 = n.min(n0 + N_TILE);
             // Hoist the tile's columns once per M-pass: one resolution and
             // one bounds check per group instead of per element.
             gather.begin_tile(kb);
@@ -55,6 +59,7 @@ pub(super) fn drive<G: Gather>(
             for col in n0..n1 {
                 cols.push(gather.resolve(kb, col)?);
             }
+            gather.seal_tile(&cols);
             for (m, &word) in wcol.iter().enumerate() {
                 gather.accumulate(word, &cols, &mut values[m * n + n0..m * n + n1]);
             }
@@ -86,30 +91,90 @@ impl<'a> Gather for Packed<'a> {
 }
 
 /// OP+LC+RC and LoCaLUT: one reordering lookup, then one canonical lookup
-/// — `canon[reord[row]]`. Buffer-resident and streamed execution differ
-/// only in the tile width the driver is called with; borrowing the column
-/// slices *is* the functional model of streaming them (the stream's cost
-/// is charged analytically).
-pub(super) struct Reordered<'a> {
-    pub(super) luts: &'a SharedLuts,
-    pub(super) panel: &'a ActivationPanel,
+/// — `canon[reord[row]]`. Buffer-resident and streamed execution are the
+/// same host loop; borrowing the column slices *is* the functional model
+/// of streaming them (the stream's cost is charged analytically).
+///
+/// `E` is the reordering image's stored entry width, matched once per run.
+/// When the weight tile has at least as many rows as the LUT pair
+/// (`M ≥ 2^(bw·p)`), every table row is read at least once per tile on
+/// average, so the two lookups are done once per *table* row instead of
+/// once per *weight* row: [`Gather::seal_tile`] fuses the tile's column
+/// pairs into `fused[row][j] = canon_j[reord_j[row]]` and the M-pass is one
+/// contiguous `out[m][n0..n1] += fused[word]`. Shorter tiles keep the
+/// two-load loop. The choice is a property of the operands, not a knob.
+pub(super) struct Reordered<'a, E> {
+    luts: &'a SharedLuts,
+    reorder: &'a [E],
+    panel: &'a ActivationPanel,
+    /// Packed weight rows of the LUT pair, `2^(bw·p)`.
+    rows: usize,
+    /// The current tile's fused table, row-major `rows × tile width`
+    /// (16 KB at W1A3 `p = 8`) — `None` below the `M ≥ rows` threshold.
+    fused: Option<Vec<i32>>,
 }
 
-impl<'a> Gather for Reordered<'a> {
-    type Col = (&'a [i32], &'a [u64]);
+impl<'a, E> Reordered<'a, E> {
+    /// A gather over `reorder` — the entries of `luts.reorder()` at their
+    /// stored width — for a weight tile of `m` rows.
+    pub(super) fn new(
+        luts: &'a SharedLuts,
+        reorder: &'a [E],
+        panel: &'a ActivationPanel,
+        m: usize,
+    ) -> Self {
+        let rows = luts.reorder().rows() as usize;
+        Reordered {
+            luts,
+            reorder,
+            panel,
+            rows,
+            fused: (m >= rows).then(|| Vec::with_capacity(rows * N_TILE)),
+        }
+    }
+}
+
+impl<'a, E: Copy + Into<u64>> Gather for Reordered<'a, E> {
+    type Col = (&'a [i32], &'a [E]);
 
     fn resolve(&mut self, kb: usize, n: usize) -> Result<Self::Col, LocaLutError> {
         let (col, perm_id) = self.panel.pair(kb, n);
+        // Column `perm_id` of the image; a permutation id past `p!` ends
+        // past the slice and panics there.
+        let start = perm_id as usize * self.rows;
         Ok((
             self.luts.canonical().column_slice(col),
-            self.luts.reorder().column_slice(perm_id),
+            &self.reorder[start..start + self.rows],
         ))
+    }
+
+    fn seal_tile(&mut self, cols: &[Self::Col]) {
+        if let Some(fused) = &mut self.fused {
+            fused.clear();
+            for row in 0..self.rows {
+                fused.extend(
+                    cols.iter()
+                        .map(|&(canon_col, reord_col)| canon_col[reord_col[row].into() as usize]),
+                );
+            }
+        }
     }
 
     fn accumulate(&mut self, word: u64, cols: &[Self::Col], out: &mut [i32]) {
         let row = word as usize;
-        for (acc, &(canon_col, reord_col)) in out.iter_mut().zip(cols) {
-            *acc += canon_col[reord_col[row] as usize];
+        match &self.fused {
+            Some(fused) => {
+                let width = out.len();
+                let sums = &fused[row * width..(row + 1) * width];
+                for (acc, &sum) in out.iter_mut().zip(sums) {
+                    *acc += sum;
+                }
+            }
+            None => {
+                for (acc, &(canon_col, reord_col)) in out.iter_mut().zip(cols) {
+                    *acc += canon_col[reord_col[row].into() as usize];
+                }
+            }
         }
     }
 }

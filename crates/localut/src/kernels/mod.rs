@@ -15,16 +15,18 @@
 //! | `Op`       | buffer-resident packed LUT ("OP", §III)  | packed, WRAM        | `col[row]` |
 //! | `OpLc`     | + canonicalization ("OP+LC", §IV-A)      | canonical, WRAM     | software reorder |
 //! | `OpLcRc`   | + reordering LUT ("OP+LC+RC", §IV-B)     | canon + reord, WRAM | `canon[reord[row]]` |
-//! | `LoCaLut`  | + LUT slice streaming ("LoCaLUT", §IV-C) | canon + reord, bank | same, `k`-wide tiles |
+//! | `LoCaLut`  | + LUT slice streaming ("LoCaLUT", §IV-C) | canon + reord, bank | same (`k` slices priced) |
 //!
 //! The arms are not six types. A [`KernelSpec`] is plain data — DPU,
 //! formats, arm, packing degree, tile width — with one constructor per
 //! way of choosing it ([`KernelSpec::with_p`], [`KernelSpec::placed`],
 //! [`KernelSpec::auto`]; nothing else in the workspace turns a `Method` or
 //! a `Placement` into a kernel), one [`KernelSpec::cost`], and one
-//! [`KernelSpec::run`] taking optional shared LUT images and an optional
-//! activation panel. The LUT arms all execute the one blocked driver of
-//! the private `gather` module, monomorphised over four small gathers.
+//! [`KernelSpec::run`] / [`KernelSpec::run_packed`] taking optional shared
+//! LUT images, an optional activation panel and optional prepacked weight
+//! rows — each operand prepared once per request by whoever can share it
+//! (DESIGN.md §12). The LUT arms all execute the one blocked driver of the
+//! private `gather` module, monomorphised over four small gathers.
 //! [`BankKernel`] is the construct-once handle (a spec plus its optional
 //! [`SharedLuts`]) that bank-parallel workers share; running one GEMM on
 //! several host threads is the `runtime` crate's `ParallelExecutor`.
@@ -37,7 +39,7 @@ mod tests;
 pub use spec::KernelSpec;
 
 use crate::canonical::CanonicalLut;
-use crate::codes::ActivationPanel;
+use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{GemmConfig, GemmDims, GemmResult, Method};
 use crate::plan::{ExecutionPlan, Placement, Planner};
 use crate::reorder::ReorderLut;
@@ -51,10 +53,10 @@ use std::sync::Arc;
 /// comfortably (the largest, W1A3 at `p = 8`, is ~12 M entries).
 pub(crate) const MAX_MATERIALIZED_ENTRIES: u64 = 1 << 26;
 
-/// Width of the N-tile the blocked buffer-resident loops process per slice
-/// resolution batch: 16 consecutive output columns share the same 64-byte
-/// `i32` output cache line per row, and 16 resolved LUT column pairs stay
-/// far below the WRAM-budget-sized slices' footprint.
+/// Width of the N-tile every blocked loop processes per column resolution
+/// batch: 16 consecutive output columns share the same 64-byte `i32`
+/// output cache line per row, and 16 resolved LUT column pairs stay far
+/// below the WRAM-budget-sized slices' footprint.
 pub const N_TILE: usize = 16;
 
 /// Ensures both operand formats decode to exact integers.
@@ -143,10 +145,16 @@ impl SharedLuts {
         })
     }
 
-    /// Host bytes the materialized images occupy (canonical `i32` entries
-    /// plus reordering `u64` entries) — the unit a byte-budgeted cache
-    /// accounts residency in. A pure function of the image dimensions, so
-    /// identical for a fresh build and a disk restore of the same key.
+    /// The **budget unit** a byte-budgeted cache accounts residency in:
+    /// 4 bytes per canonical entry plus 8 per reordering entry. It is
+    /// neither the paper's modelled image (`ceil(bw·p / 8)` bytes per
+    /// reordering entry — [`ReorderLut::entry_bytes`], the capacity
+    /// formulas) nor what this host holds (1, 2 or 4 bytes —
+    /// [`ReorderLut::stored_entry_bytes`]); it is the charge every cache
+    /// budget, eviction order and `lut_bytes` figure was recorded under, so
+    /// narrowing the stored image moved none of them. A pure function of
+    /// the image dimensions, identical for a fresh build and a disk
+    /// restore of the same key.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.canonical.entry_count() * std::mem::size_of::<i32>() as u64
@@ -376,10 +384,24 @@ impl BankKernel {
         }
     }
 
+    /// Packs the weight rows the kernel shares across column-sharded
+    /// banks of one row band — `None` when no shared images are attached
+    /// or the arm packs for itself.
+    ///
+    /// # Errors
+    ///
+    /// Format errors.
+    pub fn pack_weights(&self, w: &QMatrix) -> Result<Option<PackedCodes>, LocaLutError> {
+        match &self.luts {
+            Some(_) => self.spec.pack_weights(w),
+            None => Ok(None),
+        }
+    }
+
     /// Runs one tile against a panel resolved from the same activation
-    /// tile by [`BankKernel::resolve_panel`]; with `None` the kernel
-    /// resolves locally. Bitwise identical to [`BankKernel::run`] in
-    /// values and profile.
+    /// tile by [`BankKernel::resolve_panel`], packing the weight rows
+    /// itself; with `None` the kernel resolves locally too. Bitwise
+    /// identical to [`BankKernel::run`] in values and profile.
     ///
     /// # Errors
     ///
@@ -390,6 +412,26 @@ impl BankKernel {
         a: &QMatrix,
         panel: Option<&ActivationPanel>,
     ) -> Result<GemmResult, LocaLutError> {
-        self.spec.run(w, a, self.luts.as_ref(), panel)
+        self.run_packed(w, a, panel, None)
+    }
+
+    /// [`BankKernel::run_panel`] with the weight rows also prepared by the
+    /// caller: `wpacked` is [`BankKernel::pack_weights`] of the same `w`.
+    /// Bitwise identical to [`BankKernel::run`] in values and profile.
+    ///
+    /// # Errors
+    ///
+    /// Shape, format, or padding errors;
+    /// [`LocaLutError::UnsupportedFormat`] when `panel` or `wpacked` were
+    /// prepared for operands of another shape.
+    pub fn run_packed(
+        &self,
+        w: &QMatrix,
+        a: &QMatrix,
+        panel: Option<&ActivationPanel>,
+        wpacked: Option<&PackedCodes>,
+    ) -> Result<GemmResult, LocaLutError> {
+        self.spec
+            .run_packed(w, a, self.luts.as_ref(), panel, wpacked)
     }
 }

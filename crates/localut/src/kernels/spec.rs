@@ -3,8 +3,8 @@
 //! cost function, and the single run entry point.
 
 use super::gather::{drive, BitPlanes, Packed, Reordered, SoftwareReorder};
+use super::MAX_MATERIALIZED_ENTRIES;
 use super::{pad_code_for, require_integer, SharedLuts};
-use super::{MAX_MATERIALIZED_ENTRIES, N_TILE};
 use crate::canonical::CanonicalLut;
 use crate::capacity::{
     canonical_lut_bytes, localut_bytes, max_p_by, op_lut_bytes, slice_pair_bytes, streaming_fit,
@@ -13,13 +13,14 @@ use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{reference_gemm, GemmConfig, GemmDims, GemmResult, Method};
 use crate::packed::OpPackedLut;
 use crate::plan::{ExecutionPlan, Placement};
+use crate::reorder::ReorderEntries;
 use crate::LocaLutError;
 use pim_sim::{Category, Dpu, DpuConfig, Profile};
 use quant::{NumericFormat, QMatrix};
 
 /// One kernel arm of the evaluation, as a validated value: DPU, formats,
-/// arm, packing degree, and the N-tile width the blocked loop runs at
-/// (`N_TILE` buffer-resident, `k_slices` when slices stream, §IV-C).
+/// arm, packing degree, and the `k_slices` co-resident slice pairs a
+/// streamed arm is priced at (§IV-C).
 ///
 /// [`KernelSpec::run`] executes it and [`KernelSpec::cost`] prices it;
 /// `run(w, a, ..)?.profile == cost(GemmDims::of(w, a)?)` holds exactly
@@ -48,8 +49,9 @@ pub struct KernelSpec {
     af: NumericFormat,
     method: Method,
     p: u32,
-    /// N-tile width of the blocked loop.
-    tile: usize,
+    /// Slice pairs per streamed batch: how many weight passes
+    /// [`Method::LoCaLut`] is charged. The host loop does not walk it.
+    k_slices: u32,
 }
 
 impl KernelSpec {
@@ -81,7 +83,7 @@ impl KernelSpec {
             return Err(LocaLutError::InvalidPackingDegree(0));
         }
         let dpu = &cfg.dpu;
-        let tile = match method {
+        match method {
             Method::NaivePim | Method::Ltc if p != 1 => {
                 return Err(LocaLutError::InvalidPackingDegree(p));
             }
@@ -95,17 +97,16 @@ impl KernelSpec {
                     return Err(LocaLutError::InvalidPackingDegree(0));
                 }
                 streaming_fit(dpu, wf, af, p, cfg.k_slices)?;
-                cfg.k_slices as usize
             }
-            _ => N_TILE,
-        };
+            _ => {}
+        }
         Ok(KernelSpec {
             dpu: dpu.clone(),
             wf,
             af,
             method,
             p,
-            tile,
+            k_slices: cfg.k_slices,
         })
     }
 
@@ -265,7 +266,7 @@ impl KernelSpec {
                 // Activations (+ 2-byte permutation ids per group) stream
                 // once; the weight matrix streams once per k-batch of
                 // same-K-block groups.
-                let weight_passes = (dims.n as u64).div_ceil(self.tile as u64);
+                let weight_passes = (dims.n as u64).div_ceil(u64::from(self.k_slices));
                 dpu.charge_dram_stream(
                     dims.weight_bytes(bw) * weight_passes,
                     Category::DataTransfer,
@@ -313,28 +314,69 @@ impl KernelSpec {
         Ok(Some(ActivationPanel::resolve(a, p, pad, luts.canonical())?))
     }
 
-    /// Runs the GEMM through the arm's actual data structures: exact
-    /// outputs plus the simulated profile.
-    ///
-    /// `luts` are prebuilt shared images and `panel` a resolution of
-    /// **this same** `a` by [`KernelSpec::resolve_panel`] — its shape is
-    /// validated, its values are the caller's contract. With `None` the
-    /// arm builds or resolves locally, bitwise identically in values and
-    /// profile; arms that gather through no [`SharedLuts`] ignore both.
-    /// Naive PIM is direct MACs ([`reference_gemm`]); every other arm
-    /// bit-packs its operands once and runs the blocked `gather` driver.
+    /// Packs a weight tile the way this arm's gather reads it, or `None`
+    /// for arms that gather through no [`SharedLuts`] (they pack inside
+    /// [`KernelSpec::run`]). A bank-parallel executor packs each weight row
+    /// band once and passes the words to [`KernelSpec::run_packed`] on
+    /// every column-sharded bank of the band.
     ///
     /// # Errors
     ///
-    /// Shape, format, padding, or LUT-materialization errors, or
-    /// [`LocaLutError::UnsupportedFormat`] when `luts` or `panel` do not
-    /// match the kernel and operands.
+    /// [`LocaLutError::UnsupportedFormat`] when `w` is not in the kernel's
+    /// weight format.
+    pub fn pack_weights(&self, w: &QMatrix) -> Result<Option<PackedCodes>, LocaLutError> {
+        if self.placement().is_none() {
+            return Ok(None);
+        }
+        if w.format() != self.wf {
+            return Err(LocaLutError::UnsupportedFormat(
+                "operand formats differ from the kernel's configured formats",
+            ));
+        }
+        Ok(Some(PackedCodes::pack_weight_rows(w, self.p as usize)))
+    }
+
+    /// Runs the GEMM through the arm's actual data structures: exact
+    /// outputs plus the simulated profile — [`KernelSpec::run_packed`]
+    /// packing its own weight rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelSpec::run_packed`].
     pub fn run(
         &self,
         w: &QMatrix,
         a: &QMatrix,
         luts: Option<&SharedLuts>,
         panel: Option<&ActivationPanel>,
+    ) -> Result<GemmResult, LocaLutError> {
+        self.run_packed(w, a, luts, panel, None)
+    }
+
+    /// [`KernelSpec::run`] with every operand optionally prepared by the
+    /// caller: `luts` are prebuilt shared images, `panel` a resolution of
+    /// **this same** `a` by [`KernelSpec::resolve_panel`] and `wpacked` a
+    /// packing of **this same** `w` by [`KernelSpec::pack_weights`] — their
+    /// shapes are validated, their values are the caller's contract
+    /// (debug builds compare both against a fresh preparation). With `None`
+    /// the arm builds, resolves or packs locally, bitwise identically in
+    /// values and profile; arms that gather through no [`SharedLuts`]
+    /// ignore all three. Naive PIM is direct MACs ([`reference_gemm`]);
+    /// every other arm bit-packs its operands once and runs the blocked
+    /// `gather` driver.
+    ///
+    /// # Errors
+    ///
+    /// Shape, format, padding, or LUT-materialization errors, or
+    /// [`LocaLutError::UnsupportedFormat`] when `luts`, `panel` or
+    /// `wpacked` do not match the kernel and operands.
+    pub fn run_packed(
+        &self,
+        w: &QMatrix,
+        a: &QMatrix,
+        luts: Option<&SharedLuts>,
+        panel: Option<&ActivationPanel>,
+        wpacked: Option<&PackedCodes>,
     ) -> Result<GemmResult, LocaLutError> {
         let dims = GemmDims::of(w, a)?;
         if w.format() != self.wf || a.format() != self.af {
@@ -350,7 +392,7 @@ impl KernelSpec {
             Method::Ltc => {
                 let g = self.dpu.processor.costs.ltc_group as usize;
                 let wpacked = PackedCodes::pack_weight_rows(w, g);
-                drive(BitPlanes::new(a, self.wf, g), &wpacked, dims.n, self.tile)?
+                drive(BitPlanes::new(a, self.wf, g), &wpacked, dims.n)?
             }
             Method::Op => {
                 let lut = OpPackedLut::<i32>::build(self.wf, self.af, self.p, max)?;
@@ -360,14 +402,14 @@ impl KernelSpec {
                     lut: &lut,
                     apacked: &apacked,
                 };
-                drive(gather, &wpacked, dims.n, self.tile)?
+                drive(gather, &wpacked, dims.n)?
             }
             Method::OpLc => {
                 let lut = CanonicalLut::<i32>::build(self.wf, self.af, self.p, max)?;
                 let apacked = PackedCodes::pack_activation_columns(a, p, pad);
                 let wpacked = PackedCodes::pack_weight_rows(w, p);
                 let gather = SoftwareReorder::new(&lut, &apacked, &wpacked);
-                drive(gather, &wpacked, dims.n, self.tile)?
+                drive(gather, &wpacked, dims.n)?
             }
             Method::OpLcRc | Method::LoCaLut => {
                 let built;
@@ -379,18 +421,20 @@ impl KernelSpec {
                     }
                 };
                 luts.check(self.wf, self.af, self.p)?;
+                let groups = dims.k.div_ceil(p);
+                let shape_of = |packed: &PackedCodes| {
+                    (packed.bits(), packed.p(), packed.groups(), packed.lanes())
+                };
                 let resolved;
                 let panel = match panel {
                     Some(panel) => {
-                        let packed = panel.packed();
-                        let shape = (packed.bits(), packed.p(), packed.groups(), packed.lanes());
-                        if shape != (self.af.bits(), p, dims.k.div_ceil(p), dims.n) {
+                        if shape_of(panel.packed()) != (self.af.bits(), p, groups, dims.n) {
                             return Err(LocaLutError::UnsupportedFormat(
                                 "activation panel shape does not match the operands",
                             ));
                         }
                         debug_assert_eq!(
-                            packed,
+                            panel.packed(),
                             &PackedCodes::pack_activation_columns(a, p, pad),
                             "activation panel resolved from a different operand"
                         );
@@ -401,11 +445,41 @@ impl KernelSpec {
                         &resolved
                     }
                 };
-                // Pack the weight rows once: the packed row of group
-                // (m, kb) is reused across every output column.
-                let wpacked = PackedCodes::pack_weight_rows(w, p);
-                let gather = Reordered { luts, panel };
-                drive(gather, &wpacked, dims.n, self.tile)?
+                // The packed row of group (m, kb) is reused across every
+                // output column — and, prepacked, across every shard of
+                // the row band.
+                let packed;
+                let wpacked = match wpacked {
+                    Some(wpacked) => {
+                        if shape_of(wpacked) != (self.wf.bits(), p, groups, dims.m) {
+                            return Err(LocaLutError::UnsupportedFormat(
+                                "packed weight rows do not match the operands",
+                            ));
+                        }
+                        debug_assert_eq!(
+                            wpacked,
+                            &PackedCodes::pack_weight_rows(w, p),
+                            "weight rows packed from a different operand"
+                        );
+                        wpacked
+                    }
+                    None => {
+                        packed = PackedCodes::pack_weight_rows(w, p);
+                        &packed
+                    }
+                };
+                // The stored entry width, matched once per run.
+                match luts.reorder().entries() {
+                    ReorderEntries::U8(e) => {
+                        drive(Reordered::new(luts, e, panel, dims.m), wpacked, dims.n)?
+                    }
+                    ReorderEntries::U16(e) => {
+                        drive(Reordered::new(luts, e, panel, dims.m), wpacked, dims.n)?
+                    }
+                    ReorderEntries::U32(e) => {
+                        drive(Reordered::new(luts, e, panel, dims.m), wpacked, dims.n)?
+                    }
+                }
             }
         };
         Ok(GemmResult {

@@ -283,6 +283,53 @@ fn lut_load_matches_eq2_term() {
     assert!((cost.seconds(Category::LutLoad) - expect).abs() < 1e-12);
 }
 
+/// The fused / two-load seam and every stored reorder width: the
+/// reordered arms at `M ∈ {rows − 1, rows, rows + 1}` (the M-pass switches
+/// to the fused tile table at `M = rows`), `N` around the half and full
+/// tile, ragged `K`, for one `(bits, p)` per entry width — values equal the
+/// reference, and a run on prepared operands equals the self-preparing one.
+#[test]
+fn reordered_arms_match_reference_across_the_fused_threshold_at_every_width() {
+    // (wf, af, p, stored entry bytes, N): 8, 10 and 18 index bits. No
+    // `bits · p` in 17..=32 has fewer than 2^18 rows, so the wide image
+    // runs the narrowest and the tile-crossing `N` only (seconds in debug).
+    const NS: &[usize] = &[1, 7, 8, 16, 17];
+    let table = [
+        (W1, I3, 8, 1, NS),
+        (I2, I3, 5, 2, NS),
+        (NumericFormat::Int(9), I2, 2, 4, &[1, 17][..]),
+    ];
+    for (wf, af, p, width, ns) in table {
+        let luts = SharedLuts::build(wf, af, p).unwrap();
+        assert_eq!(luts.reorder().entries().entry_bytes(), width);
+        let rows = luts.reorder().rows() as usize;
+        let k = p as usize + 1; // one full group, one ragged
+        for method in [Method::OpLcRc, Method::LoCaLut] {
+            let kernel = match KernelSpec::with_p(&GemmConfig::upmem(), method, wf, af, p) {
+                // Two 18-bit slice pairs do not fit WRAM; the buffer-
+                // resident arm prices any degree.
+                Err(LocaLutError::BudgetExceeded { .. }) if method == Method::LoCaLut => continue,
+                kernel => kernel.unwrap(),
+            };
+            for m in [rows - 1, rows, rows + 1] {
+                let w = QMatrix::pseudo_random(m, k, wf, 7 + m as u64);
+                let wpacked = kernel.pack_weights(&w).unwrap().unwrap();
+                for &n in ns {
+                    let case = format!("{method} {wf:?}x{af:?} p={p} ({m}, {k}, {n})");
+                    let a = QMatrix::pseudo_random(k, n, af, 31 + n as u64);
+                    let out = kernel.run(&w, &a, Some(&luts), None).expect(&case);
+                    assert_eq!(out.values, reference_gemm::<i32>(&w, &a).unwrap(), "{case}");
+                    assert_eq!(out.profile, kernel.cost(dims(m, k, n)), "{case}");
+                    let panel = kernel.resolve_panel(&a, &luts).unwrap().unwrap();
+                    let prepared =
+                        kernel.run_packed(&w, &a, Some(&luts), Some(&panel), Some(&wpacked));
+                    assert_eq!(prepared.expect(&case), out, "{case}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn shared_luts_and_panels_must_match_the_kernel() {
     let (w, a) = operands(2, 6, 2, I2, I3);
@@ -302,6 +349,25 @@ fn shared_luts_and_panels_must_match_the_kernel() {
         kernel.run(&w, &a, Some(&luts), Some(&panel)),
         Err(LocaLutError::UnsupportedFormat(_))
     ));
+    // Weight rows packed for another (bits, p, groups, lanes): a typed
+    // error in every build profile, before any comparison or gather.
+    let wrong = [
+        PackedCodes::pack_weight_rows(&operands(2, 6, 2, I3, I3).0, 3), // bits
+        PackedCodes::pack_weight_rows(&w, 2),                           // p
+        PackedCodes::pack_weight_rows(&operands(2, 9, 2, I2, I3).0, 3), // groups
+        PackedCodes::pack_weight_rows(&operands(3, 6, 2, I2, I3).0, 3), // lanes
+    ];
+    for wpacked in &wrong {
+        assert!(matches!(
+            kernel.run_packed(&w, &a, Some(&luts), None, Some(wpacked)),
+            Err(LocaLutError::UnsupportedFormat(_))
+        ));
+    }
+    let (w3, _) = operands(2, 6, 2, I3, I3);
+    assert!(matches!(
+        kernel.pack_weights(&w3),
+        Err(LocaLutError::UnsupportedFormat(_))
+    ));
 }
 
 #[test]
@@ -317,10 +383,19 @@ fn shared_luts_and_panel_runs_match_the_local_run() {
             kernel.run(&w, &a, Some(&luts), Some(&panel)).unwrap(),
             local
         );
+        let wpacked = kernel.pack_weights(&w).unwrap().unwrap();
+        assert_eq!(wpacked, PackedCodes::pack_weight_rows(&w, 3));
+        for panel in [None, Some(&panel)] {
+            assert_eq!(
+                kernel.run_packed(&w, &a, Some(&luts), panel, Some(&wpacked)),
+                Ok(local.clone())
+            );
+        }
     }
-    // Arms that gather through no shared LUTs have no panel form.
+    // Arms that gather through no shared LUTs have no prepared forms.
     let op = spec(Method::Op, I2, I3, 3);
     assert!(op.resolve_panel(&a, &luts).unwrap().is_none());
+    assert!(op.pack_weights(&w).unwrap().is_none());
 }
 
 #[test]
@@ -346,5 +421,9 @@ fn bank_kernel_reports_method_and_p_for_every_arm() {
         let shares = matches!(method, Method::OpLcRc | Method::LoCaLut);
         assert_eq!(panel.is_some(), shares, "{method}");
         assert_eq!(bank.run_panel(&w, &a, panel.as_ref()).unwrap(), out);
+        let wpacked = bank.pack_weights(&w).unwrap();
+        assert_eq!(wpacked.is_some(), shares, "{method}");
+        let prepared = bank.run_packed(&w, &a, panel.as_ref(), wpacked.as_ref());
+        assert_eq!(prepared.unwrap(), out);
     }
 }

@@ -49,7 +49,8 @@ pub fn check_index_width(bits: u8, p: u32) -> Result<(), LocaLutError> {
     if p == 0 {
         return Err(LocaLutError::InvalidPackingDegree(p));
     }
-    if u32::from(bits) * p > 48 {
+    // Widened: `p` can arrive unchecked from a persisted key.
+    if u64::from(bits) * u64::from(p) > 48 {
         return Err(LocaLutError::IndexSpaceTooWide { bits, p });
     }
     Ok(())

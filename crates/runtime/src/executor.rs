@@ -8,11 +8,13 @@
 //! [`BankKernel`]'s internal `Arc`s (one build, N readers, as the §V-A
 //! broadcast works on hardware). All kernel dispatch goes through the
 //! `localut::kernels::KernelSpec` the `BankKernel` holds; the executor
-//! never matches on a method. Before fanning out, it resolves one
+//! never matches on a method. Before fanning out, it prepares each
+//! operand band once, on the same pool: one
 //! `localut::codes::ActivationPanel` per activation column band through
-//! [`BankKernel::resolve_panel`], so row-sharded banks of a band share
-//! the activation-side group resolution instead of each redoing it
-//! (bitwise-identical results, DESIGN.md §12).
+//! [`BankKernel::resolve_panel`] and one packed weight tile per row band
+//! through [`BankKernel::pack_weights`], so the banks of a band share the
+//! preparation instead of each redoing it (bitwise-identical results,
+//! DESIGN.md §12).
 //!
 //! Scheduling is self-balancing: the workers share one atomic cursor over
 //! the shard ids and each claims the next unclaimed shard when it finishes
@@ -33,6 +35,7 @@ use localut::kernels::BankKernel;
 use localut::{LocaLutError, Method};
 use pim_sim::{CycleLedger, EnergyBreakdown, EnergyModel, PimSystem, Profile, Stats};
 use quant::QMatrix;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -173,6 +176,33 @@ impl ParallelGemm {
     }
 }
 
+/// One operand band of a shard plan: its index range and the full-`K`
+/// tile every shard of the band runs against.
+type Band<'a> = (Range<usize>, Cow<'a, QMatrix>);
+
+/// The index of `range` among `bands`, added on first sight: borrowed from
+/// `whole` when it spans all `len` rows / columns, cut by `slice` otherwise.
+fn band_of<'a>(
+    bands: &mut Vec<Band<'a>>,
+    range: &Range<usize>,
+    len: usize,
+    whole: &'a QMatrix,
+    slice: impl FnOnce() -> QMatrix,
+) -> usize {
+    bands
+        .iter()
+        .position(|(r, _)| r == range)
+        .unwrap_or_else(|| {
+            let tile = if *range == (0..len) {
+                Cow::Borrowed(whole)
+            } else {
+                Cow::Owned(slice())
+            };
+            bands.push((range.clone(), tile));
+            bands.len() - 1
+        })
+}
+
 /// A bank-parallel GEMM executor: `threads` workers over shard plans.
 ///
 /// # Examples
@@ -305,51 +335,48 @@ impl ParallelExecutor {
 
         // Hoist one weight tile per distinct row band and one activation
         // tile per distinct column band: every shard in a band runs
-        // against the same full-K operand slice, so the copies are shared
-        // instead of re-sliced per shard.
-        let mut row_bands: Vec<(Range<usize>, QMatrix)> = Vec::new();
-        let mut col_bands: Vec<(Range<usize>, QMatrix)> = Vec::new();
+        // against the same full-K operand slice, so the tiles are shared
+        // instead of re-sliced per shard — and a band that spans its whole
+        // operand borrows it instead of copying it.
+        let mut row_bands: Vec<Band<'_>> = Vec::new();
+        let mut col_bands: Vec<Band<'_>> = Vec::new();
         let shards: Vec<(&Shard, usize, usize)> = plan
             .shards()
             .iter()
             .map(|shard| {
-                let row = row_bands
-                    .iter()
-                    .position(|(r, _)| *r == shard.rows)
-                    .unwrap_or_else(|| {
-                        row_bands.push((
-                            shard.rows.clone(),
-                            w.submatrix(shard.rows.clone(), 0..dims.k),
-                        ));
-                        row_bands.len() - 1
-                    });
-                let col = col_bands
-                    .iter()
-                    .position(|(c, _)| *c == shard.cols)
-                    .unwrap_or_else(|| {
-                        col_bands.push((
-                            shard.cols.clone(),
-                            a.submatrix(0..dims.k, shard.cols.clone()),
-                        ));
-                        col_bands.len() - 1
-                    });
+                let row = band_of(&mut row_bands, &shard.rows, dims.m, w, || {
+                    w.submatrix(shard.rows.clone(), 0..dims.k)
+                });
+                let col = band_of(&mut col_bands, &shard.cols, dims.n, a, || {
+                    a.submatrix(0..dims.k, shard.cols.clone())
+                });
                 (shard, row, col)
             })
             .collect();
 
-        // Resolve one activation panel per column band: every row shard in
-        // a band consumes the same activation columns, so the per-group
-        // canonicalization (unpack → sort → rank) runs once per band here
-        // instead of once per bank inside the kernel. Kernels without a
-        // panel form return `None` and run unchanged; results are bitwise
-        // identical either way.
-        let panels = col_bands
-            .iter()
-            .map(|(_, a_tile)| bank.resolve_panel(a_tile))
+        // Prepare each band's operand once, on the pool: one activation
+        // panel per column band (the per-group canonicalization — unpack →
+        // sort → rank — every row shard of the band would repeat) and one
+        // packed weight tile per row band (the bit-packing every column
+        // shard of the band would repeat). Kernels without a prepared form
+        // return `None` and run unchanged; results are bitwise identical
+        // either way.
+        let panels = self
+            .map(&col_bands, |(_, a_tile)| bank.resolve_panel(a_tile))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let packs = self
+            .map(&row_bands, |(_, w_tile)| bank.pack_weights(w_tile))
+            .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
 
         let results = self.map(&shards, |&(_, row, col)| {
-            bank.run_panel(&row_bands[row].1, &col_bands[col].1, panels[col].as_ref())
+            bank.run_packed(
+                &row_bands[row].1,
+                &col_bands[col].1,
+                panels[col].as_ref(),
+                packs[row].as_ref(),
+            )
         });
 
         // Deterministic merge, ascending shard id. The profile fold
@@ -722,6 +749,54 @@ mod tests {
         for _ in 0..2 {
             let injected = pool.execute_plan_with(&plan, &bank, &w, &a).unwrap();
             assert_eq!(injected, internal);
+        }
+    }
+
+    /// One prepared operand per band, shared by the band's shards: a
+    /// column-sharded plan (one borrowed row band, its pack read by every
+    /// shard) and a ranked plan (both band kinds repeat), at 1 and 4
+    /// workers, equal the serial run bitwise — values, and per bank the
+    /// profile a self-preparing run of that tile charges.
+    #[test]
+    fn shared_band_preparation_equals_the_serial_run() {
+        use localut::kernels::{KernelSpec, SharedLuts};
+        // Int(2) x Int(3) at p = 3 has 64 LUT rows: the 70-row band takes
+        // the fused M-pass, the ranked plan's short bands the two-load loop.
+        let (w, a) = operands(70, 16, 8, 5);
+        let dims = GemmDims::of(&w, &a).unwrap();
+        let spec = KernelSpec::with_p(
+            &GemmConfig::upmem(),
+            Method::LoCaLut,
+            w.format(),
+            a.format(),
+            3,
+        );
+        let luts = SharedLuts::build(w.format(), a.format(), 3).unwrap();
+        let bank = BankKernel::with_shared_luts(spec.unwrap(), luts);
+        let serial = bank.run(&w, &a).unwrap();
+
+        let by_column = ShardPlan::for_banks(dims, 4);
+        assert!(by_column.len() > 1 && by_column.shards().iter().all(|s| s.rows == (0..dims.m)));
+        let ranked = ShardPlan::for_ranks(dims, 2, 16);
+        let bands = |of: fn(&Shard) -> &Range<usize>| {
+            let mut bands: Vec<_> = ranked.shards().iter().map(of).collect();
+            bands.dedup();
+            bands.len()
+        };
+        assert!(bands(|s| &s.rows) > 1 && bands(|s| &s.rows) < ranked.len());
+
+        for plan in [&by_column, &ranked] {
+            let one = ParallelExecutor::new(1)
+                .execute_plan_with(plan, &bank, &w, &a)
+                .unwrap();
+            let four = ParallelExecutor::new(4)
+                .execute_plan_with(plan, &bank, &w, &a)
+                .unwrap();
+            assert_eq!(one.values, serial.values);
+            assert_eq!(four, one);
+            for result in &one.per_bank {
+                assert_eq!(result.profile, bank.cost(result.shard.dims(dims.k)));
+            }
         }
     }
 
